@@ -82,8 +82,10 @@ def alpha_case_a(ctx: AlphaContext) -> AlphaResult:
             "case_a requires norm(E) = 0, got %d" % (ctx.t * ctx.e)
         )
     alpha = _combine(ctx.L, 2 * ctx.b * ctx.t, ctx.D, -ctx.d, ctx.E)
-    assert norm(ctx.L, alpha) == 0
-    assert pairing(ctx.L, alpha, ctx.D) == ctx.b * ctx.t * ctx.d
+    if norm(ctx.L, alpha) != 0:
+        raise ContractViolationError("case_a alpha is not isotropic")
+    if pairing(ctx.L, alpha, ctx.D) != ctx.b * ctx.t * ctx.d:
+        raise ContractViolationError("case_a alpha does not pair to b*t*d with D")
     return AlphaResult(
         alpha, "case_a", None, is_primitive(ctx.L, alpha), False, None
     )
@@ -98,8 +100,10 @@ def alpha_case_b(ctx: AlphaContext) -> AlphaResult:
     if r is not None:
         ce = ctx.N - r * ctx.t * ctx.b
         alpha = _combine(ctx.L, -te * r, ctx.D, -ce, ctx.E)
-        assert ce > 0 and -te * r > 0
-        assert norm(ctx.L, alpha) == 0
+        if not (ce > 0 and -te * r > 0):
+            raise ContractViolationError("case_b square-N coefficients are not positive")
+        if norm(ctx.L, alpha) != 0:
+            raise ContractViolationError("case_b square-N alpha is not isotropic")
         return AlphaResult(
             alpha, "case_b_square_N", None, is_primitive(ctx.L, alpha), False, None
         )
@@ -113,10 +117,12 @@ def alpha_case_b(ctx: AlphaContext) -> AlphaResult:
 def _pell_alpha(ctx: AlphaContext, sol: PellSolution) -> Vec:
     te = ctx.t * ctx.e
     ce = sol.x - ctx.t * ctx.b * sol.y
-    assert ce > 0 and -te * sol.y > 0
+    if not (ce > 0 and -te * sol.y > 0):
+        raise ContractViolationError("Pell alpha coefficients are not positive")
     alpha = _combine(ctx.L, -te * sol.y, ctx.D, -ce, ctx.E)
     # norm identity: q(alpha) = t*e*(x^2 - N*y^2) = t*e
-    assert norm(ctx.L, alpha) == te
+    if norm(ctx.L, alpha) != te:
+        raise ContractViolationError("Pell alpha violates the norm identity q(alpha) = t*e")
     return alpha
 
 
@@ -151,7 +157,10 @@ def alpha_effective(ctx: AlphaContext, t: DeformationType) -> AlphaResult:
         sol = second_solution(ctx.N)
         # theorem: t | N, so x2 = 1 + 2*N*y1^2 = 1 mod 2*(catalog modulus)
         modulus = 2 * (t.n - 1) if t.kind is Kind.K3N else 2 * (t.n + 1)
-        assert sol.x % modulus == 1 % modulus
+        if sol.x % modulus != 1 % modulus:
+            raise ContractViolationError(
+                "second Pell solution is not 1 mod %d" % modulus
+            )
     else:
         sol = fundamental_solution(ctx.N)
     alpha = _pell_alpha(ctx, sol)
@@ -198,7 +207,8 @@ def alpha_k(
     ca = -2 * k * k * qp * p ** 3
     cp = -2 * k * p * p
     out = tuple(ca * a[i] + cp * ap[i] + Ev[i] for i in range(L.rank))
-    assert norm(L, out) == norm(L, Ev)
+    if norm(L, out) != norm(L, Ev):
+        raise ContractViolationError("alpha_k changed the norm of E")
     return out
 
 
@@ -217,7 +227,8 @@ def beta_projection(
     c = Fraction(pairing(L, Dv, Ev), qe)
     beta = tuple(Fraction(Dv[i]) - c * Ev[i] for i in range(L.rank))
     # beta is orthogonal to E by construction
-    assert sum(
+    if sum(
         beta[i] * L.gram[i][j] * Ev[j] for i in range(L.rank) for j in range(L.rank)
-    ) == 0
+    ) != 0:
+        raise ContractViolationError("beta projection is not orthogonal to E")
     return beta

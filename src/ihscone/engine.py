@@ -14,8 +14,8 @@ from typing import Optional, Sequence
 
 from .catalog import DeformationType, profiles
 from .errors import (
-    AmpleOnWallError,
     BoundExceededError,
+    ContractViolationError,
     MixedRationalityError,
     PreconditionError,
     SignatureError,
@@ -33,7 +33,7 @@ from .lattice import (
 )
 from .pell import is_perfect_square
 from .polyhedra import canonical_ray, dd_generators, invert_matrix, same_ray_set
-from .weyl import is_chamber_wall, weyl_reduce
+from .weyl import is_chamber_wall
 
 VERDICT_CIRCULAR = "CircularUpToBound"
 VERDICT_POLYHEDRAL = "PolyhedralCandidate"
@@ -240,7 +240,8 @@ def _ample_frame(lattice: Lattice, ample: Vec):
     cols = [tuple(v_tr[r][i] for r in range(n)) for i in range(n)]
     x_unit = tuple(sgn * x for x in cols[0])
     kernel = cols[1:]
-    assert sum(ai * xi for ai, xi in zip(a, x_unit)) == g
+    if sum(ai * xi for ai, xi in zip(a, x_unit)) != g:
+        raise ContractViolationError("Smith form did not split off the ample functional")
     return g, x_unit, kernel
 
 
@@ -403,7 +404,8 @@ def _rank2_candidates(lattice: Lattice, ample: Vec, classes: Sequence[Vec]):
     gm = lattice.gram
     a, h, c = gm[0][0], gm[0][1], gm[1][1]
     delta = h * h - a * c
-    assert delta > 0, "hyperbolic plane has positive discriminant"
+    if delta <= 0:
+        raise ContractViolationError("hyperbolic plane must have positive discriminant")
     ga = gram_vec(lattice, ample)
     candidates = []
 
@@ -430,7 +432,8 @@ def _rank2_candidates(lattice: Lattice, ample: Vec, classes: Sequence[Vec]):
                 Fraction(ga[1]), Fraction(0), delta
             ) * y
             orientation = val.sign()
-            assert orientation != 0, "isotropic ray cannot be ample-orthogonal"
+            if orientation == 0:
+                raise ContractViolationError("isotropic ray cannot be ample-orthogonal")
             if orientation < 0:
                 x, y = -x, -y
             num_const, s, den = -h, sgn, a
@@ -541,18 +544,12 @@ def analyze(
     """Full bounded cone analysis.
 
     Enumerate classes; decide the dichotomy verdict; on the polyhedral branch
-    reduce the ample class into its chamber, extract walls, build the movable
-    candidate and run the duality round trip; attach rank-2, finiteness and
-    Mori-dream-space reports.
+    compute the chamber's generators with one double-description pass, read
+    off the walls, build the movable candidate and run the duality round
+    trip; attach rank-2, finiteness and Mori-dream-space reports.
     """
     bound = bound or EnumerationBound()
     classes = enumerate_exceptional(lattice, t, ample, bound)
-    for v in classes:
-        if pairing(lattice, v, ample) == 0:
-            raise AmpleOnWallError(
-                f"ample class {ample} pairs to zero with exceptional class "
-                f"{v}: ample lies on a wall"
-            )
     n = lattice.rank
     notes: list[str] = []
     witness = _ample_wall_witness(lattice, t, ample)
@@ -577,11 +574,9 @@ def analyze(
                 f"wall testing is capped at rank {bound.wall_test_limit}, "
                 f"lattice has rank {n}"
             )
-        reduction = weyl_reduce(lattice, classes, ample)
-        anchor = reduction.representative
-        walls = tuple(
-            c for c in classes if is_chamber_wall(lattice, classes, c, anchor, bound.wall_test_limit)
-        )
+        rows = [gram_vec(lattice, c) for c in classes] + [gram_vec(lattice, ample)]
+        lineality, rays = dd_generators(rows, n)
+        walls = tuple(c for c in classes if is_chamber_wall(lattice, c, lineality, rays))
         verdict = VERDICT_POLYHEDRAL
         if len(walls) < n:
             notes.append(

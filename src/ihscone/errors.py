@@ -42,10 +42,6 @@ class NonIntegralReflectionError(PreconditionError):
     """2*pairing(root, v) is not divisible by norm(root)."""
 
 
-class AmpleOnWallError(PreconditionError):
-    """The ample class is orthogonal to an exceptional class."""
-
-
 class BoundExceededError(IHSConeError):
     """A configured cap (Pell index, reduction steps, rank limit) was hit."""
 

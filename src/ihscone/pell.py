@@ -10,7 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import BoundExceededError, PellRangeError, PellSquareError, PreconditionError
+from .errors import (
+    BoundExceededError,
+    ContractViolationError,
+    PellRangeError,
+    PellSquareError,
+    PreconditionError,
+)
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,10 @@ def second_solution(n: int) -> PellSolution:
     """
     f = fundamental_solution(n)
     s = PellSolution(f.x * f.x + n * f.y * f.y, 2 * f.x * f.y, n)
-    # x2 - 1 = 2*N*y1^2
-    assert s.x - 1 == 2 * n * f.y * f.y
-    assert s.y % 2 == 0
+    if s.x - 1 != 2 * n * f.y * f.y:
+        raise ContractViolationError("second Pell solution violates x2 - 1 = 2*N*y1^2")
+    if s.y % 2 != 0:
+        raise ContractViolationError("second Pell solution has odd y")
     return s
 
 

@@ -1,9 +1,11 @@
-"""Exact rational polyhedral-cone routines: Fourier-Motzkin feasibility
-and double description at small rank.
+"""Exact polyhedral-cone routines at small rank: double description,
+rref/kernel, ray canonicalization, and Fourier-Motzkin feasibility.
 
-Rows are plain tuples of Fractions; nothing here knows about lattices or
-bilinear forms.  Intended scale is rank <= 8 with a few dozen
-constraints, where the textbook algorithms stay comfortably exact.
+dd_generators is the library's one polyhedral engine; it runs over the
+integers.  fm_satisfiable is kept as the independent oracle the tests
+check wall detection against; no library code calls it.  Nothing here
+knows about lattices or bilinear forms.  Intended scale is rank <= 8
+with up to a few hundred constraints.
 """
 
 from __future__ import annotations
@@ -118,82 +120,68 @@ def canonical_ray(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def _rank(rows: list[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[0])
-
-
 def dd_generators(ineq_rows: Sequence[Sequence[Fraction]], n: int):
     """Generators of the cone {x in R^n : a . x >= 0 for each row a}.
 
     Returns (lineality_basis, extreme_rays), both lists of primitive
     integer tuples; the cone is the set of lineality combinations plus
-    nonnegative ray combinations.  Motzkin's double description with an
-    extremality prune (a ray is extreme iff its tight constraints have
-    rank dim-1) after each insertion.
+    nonnegative ray combinations.  The rays lie in the span of the unit
+    vectors at the pivot columns of the rows, a complement of the
+    lineality space, where the cone is pointed.
+
+    Motzkin's double description over the integers: rows and rays are
+    primitive integer vectors, and each ray carries the bitmask of the
+    inserted rows it is tight on.  Inserting a row combines a ray on its
+    positive side with one on its negative side only when the two are
+    adjacent (Fukuda & Prodon 1996): their common tight set has at least
+    r - 2 members, r the rank of the rows, and no third ray's tight set
+    contains it.  Adjacent pairs give exactly the new extreme rays, so
+    nothing needs pruning.
     """
-    rows = [tuple(Fraction(x) for x in r) for r in ineq_rows]
-    rows = [r for r in rows if any(x != 0 for x in r)]
-    lin = kernel_basis(rows, n)
+    rows = [canonical_ray(r) for r in ineq_rows if any(x != 0 for x in r)]
+    lin = [canonical_ray(b) for b in kernel_basis(rows, n)]
     if not rows:
-        return [canonical_ray(b) for b in lin], []
-    # complement coordinates: standard basis vectors at the pivot columns
+        return lin, []
+    # reduced coordinates: the pivot columns span a complement of lin
     _, pivots = rref(rows)
     r = len(pivots)
-    # reduced constraint matrix B: column j of B is A . e_{pivots[j]}
     B = [tuple(row[p] for p in pivots) for row in rows]
 
-    # initial simplicial cone from r independent reduced rows
-    chosen: list[int] = []
-    for i in range(len(B)):
-        if _rank([B[j] for j in chosen] + [B[i]]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == r:
-                break
-    M = [B[i] for i in chosen]
-    inv = invert_matrix(M)
-    rays = [tuple(inv[i][j] for i in range(r)) for j in range(r)]  # columns
-    processed = list(chosen)
+    # initial simplicial cone: the first r independent reduced rows (the
+    # pivot columns of B's transpose); ray j is tight on all of them but j
+    _, chosen = rref(list(zip(*B)))
+    inv = invert_matrix([B[i] for i in chosen])
+    rays = [canonical_ray([inv[i][j] for i in range(r)]) for j in range(r)]
+    tight = [sum(1 << i for i in chosen if i != c) for c in chosen]
 
-    def extreme(ray, constraint_ids) -> bool:
-        tight = [B[i] for i in constraint_ids if _dot(B[i], ray) == 0]
-        return _rank(tight) >= r - 1
-
-    for i in range(len(B)):
-        if i in processed:
-            continue
-        row = B[i]
-        vals = [_dot(row, u) for u in rays]
-        keep = [u for u, v in zip(rays, vals) if v >= 0]
-        new = []
-        for up, vp in zip(rays, vals):
+    for i in (i for i in range(len(B)) if i not in chosen):
+        vals = [_dot(B[i], u) for u in rays]
+        next_rays = [u for u, v in zip(rays, vals) if v >= 0]
+        next_tight = [t | (1 << i) if v == 0 else t for t, v in zip(tight, vals) if v >= 0]
+        for p, vp in enumerate(vals):
             if vp <= 0:
                 continue
-            for un, vn in zip(rays, vals):
+            for q, vn in enumerate(vals):
                 if vn >= 0:
                     continue
-                cand = tuple(vp * un[j] - vn * up[j] for j in range(r))
-                new.append(cand)
-        processed.append(i)
-        merged = keep + new
-        rays = []
-        seen = set()
-        for u in merged:
-            if all(x == 0 for x in u):
-                continue
-            cu = canonical_ray(u)
-            if cu in seen:
-                continue
-            if extreme(cu, processed):
-                seen.add(cu)
-                rays.append(cu)
+                common = tight[p] & tight[q]
+                if common.bit_count() < r - 2 or any(
+                    t & common == common for k, t in enumerate(tight) if k != p and k != q
+                ):
+                    continue
+                cand = [vp * x - vn * y for x, y in zip(rays[q], rays[p])]
+                g = gcd(*cand)
+                next_rays.append(tuple(x // g for x in cand))
+                next_tight.append(common | (1 << i))
+        rays, tight = next_rays, next_tight
     # lift back to R^n
     lifted = []
     for u in rays:
-        x = [Fraction(0)] * n
+        x = [0] * n
         for j, p in enumerate(pivots):
-            x[p] = Fraction(u[j])
-        lifted.append(canonical_ray(x))
-    return [canonical_ray(b) for b in lin], lifted
+            x[p] = u[j]
+        lifted.append(tuple(x))
+    return lin, lifted
 
 
 def _dot(a, b):

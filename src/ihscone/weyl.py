@@ -3,14 +3,13 @@
 The group generated by reflections in the numerically exceptional
 classes acts on the positive cone; weyl_reduce moves a class into the
 fundamental chamber (nonnegative pairing with every root) and
-is_chamber_wall decides which root hyperplanes actually support facets
-of that chamber.
+is_chamber_wall reads off, from the chamber's double-description
+generators, which root hyperplanes actually support facets of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
@@ -19,7 +18,7 @@ from .errors import (
     PreconditionError,
 )
 from .lattice import Lattice, Vec, gram_vec, norm, pairing
-from .polyhedra import fm_satisfiable
+from .polyhedra import rref
 
 
 @dataclass(frozen=True)
@@ -110,52 +109,31 @@ def weyl_reduce(
         steps += 1
 
 
-def _proportional(a: Vec, b: Vec) -> bool:
-    n = len(a)
-    return all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
-
-
 def is_chamber_wall(
     L: Lattice,
-    roots: Sequence[Sequence[int]],
     candidate: Sequence[int],
-    ample: Sequence[int],
-    rank_limit: int = 8,
+    lineality: Sequence[Sequence[int]],
+    rays: Sequence[Sequence[int]],
 ) -> bool:
     """Does the candidate's orthogonal hyperplane support a facet of the
-    fundamental chamber?
+    chamber C = {x : pairing(x, r) >= 0 for every root r, pairing(x, ample) >= 0}?
 
-    Decided exactly by Fourier-Motzkin elimination on the strict system
+    lineality and rays are C's generators from dd_generators, and the
+    candidate is one of the roots, so C lies on one side of
+    candidate-perp.  The face C meet candidate-perp is then spanned by the
+    lineality basis and the rays that pair to zero with the candidate, so
+    it is a facet exactly when those vectors have rank n - 1.
 
-        pairing(x, candidate) = 0,
-        pairing(x, r) > 0   for every other non-proportional root r,
-        pairing(x, ample) > 0.
-
-    The last inequality is the linear stand-in for membership in the
-    positive cone on the ample side; every genuine facet point satisfies
-    it, and at rank 2 the two conditions agree outright.
+    This is the strict system pairing(x, candidate) = 0, pairing(x, r) > 0
+    for every other root r, pairing(x, ample) > 0, whenever the roots are
+    primitive and pair positively with an ample class of positive norm:
+    the ample class then pairs > 0 with every row, itself included, so C
+    is full-dimensional, and no two rows are proportional, so
+    candidate-perp meets {every other row > 0} exactly when it cuts C in a
+    facet.  The ample inequality is the linear stand-in for membership in
+    the positive cone on the ample side; every genuine facet point
+    satisfies it, and at rank 2 the two conditions agree outright.
     """
-    if L.rank > rank_limit:
-        raise BoundExceededError(
-            "wall test limited to rank <= %d, lattice has rank %d" % (rank_limit, L.rank)
-        )
-    c = L.check_vector(candidate)
-    rs = [L.check_vector(r) for r in roots]
-    if not any(r == c for r in rs):
-        raise PreconditionError("candidate must be one of the roots")
-    a = L.check_vector(ample)
-    n = L.rank
-    eq = [Fraction(x) for x in gram_vec(L, c)]
-    k = next(i for i in range(n) if eq[i] != 0)
-    strict_rows = [gram_vec(L, r) for r in rs if not _proportional(r, c)]
-    strict_rows.append(gram_vec(L, a))
-
-    def substitute(row) -> tuple[Fraction, ...]:
-        # solve the equality for x_k and drop that variable
-        rk = Fraction(row[k])
-        return tuple(
-            Fraction(row[j]) - rk * eq[j] / eq[k] for j in range(n) if j != k
-        )
-
-    system = [(substitute(row), Fraction(0), True) for row in strict_rows]
-    return fm_satisfiable(system, n - 1)
+    c = gram_vec(L, L.check_vector(candidate))
+    tight = [u for u in rays if sum(x * y for x, y in zip(c, u)) == 0]
+    return len(rref(list(lineality) + tight)[0]) == L.rank - 1

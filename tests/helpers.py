@@ -3,16 +3,18 @@
 Everything here is deliberately written from scratch against the
 definitions, not by calling back into the code under test, so the test
 suite has a second opinion on the hard parts (Pell solving, bounded
-class enumeration).
+class enumeration, chamber walls).
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from itertools import combinations
+from math import gcd, isqrt, lcm
 
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
-from ihscone.polyhedra import invert_matrix
+from ihscone.lattice import gram_vec
+from ihscone.polyhedra import fm_satisfiable, invert_matrix
 
 
 def rand_unimodular(rng: random.Random, n: int, ops: int | None = None) -> list[list[int]]:
@@ -172,6 +174,97 @@ def box_oracle(lat: Lattice, dtype, bound_b: int) -> tuple[tuple[int, ...], ...]
     for v0 in range(1, bound_b // g0 + 1):
         rec(1, [v0], g0 * v0 * v0 - lo)
     return tuple(sorted(found))
+
+
+# ------------------------------------------------------------ cone oracles
+
+def _echelon(rows, n):
+    """Row echelon form over Q (list of nonzero rows, pivot columns)."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    out, pivots = [], []
+    for c in range(n):
+        k = next((i for i, r in enumerate(m) if r[c] != 0), None)
+        if k is None:
+            continue
+        piv = m.pop(k)
+        m = [[a - r[c] / piv[c] * b for a, b in zip(r, piv)] for r in m]
+        out.append(piv)
+        pivots.append(c)
+    return out, pivots
+
+
+def _nullspace(rows, n):
+    ech, pivots = _echelon(rows, n)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for r, p in reversed(list(zip(ech, pivots))):
+            x[p] = -sum(r[j] * x[j] for j in range(p + 1, n)) / r[p]
+        basis.append(x)
+    return basis
+
+
+def _primitive(vals):
+    m = lcm(*(Fraction(v).denominator for v in vals))
+    ints = [int(v * m) for v in vals]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def brute_force_extreme_rays(rows, n):
+    """Extreme rays of {x : a . x >= 0 for each row a} modulo its lineality
+    space, each given by its primitive vector of row values (a . x)_a.
+
+    Row values identify a ray modulo the lineality space, which is the
+    kernel of the rows, whatever complement a generator lies in.  With r
+    the rank of the rows, every extreme ray spans, with the lineality
+    space, the kernel of some r - 1 independent rows; try them all.
+    """
+    r = len(_echelon(rows, n)[0])
+    found = set()
+    if r == 0:
+        return found
+    for subset in combinations(rows, r - 1):
+        if len(_echelon(subset, n)[0]) != r - 1:
+            continue
+        for x in _nullspace(subset, n):
+            vals = [sum(a * b for a, b in zip(row, x)) for row in rows]
+            if any(vals):
+                break
+        if all(v >= 0 for v in vals):
+            found.add(_primitive(vals))
+        elif all(v <= 0 for v in vals):
+            found.add(_primitive([-v for v in vals]))
+    return found
+
+
+
+def fm_is_wall(lat: Lattice, roots, candidate, ample) -> bool:
+    """Wall test by Fourier-Motzkin elimination on the strict system
+
+        pairing(x, candidate) = 0,
+        pairing(x, r) > 0   for every root r not proportional to candidate,
+        pairing(x, ample) > 0,
+
+    i.e. candidate-perp meets the chamber in a point off every other wall.
+    The equality is solved for one coordinate before eliminating.
+    """
+    n = lat.rank
+    eq = gram_vec(lat, candidate)
+    k = next(i for i in range(n) if eq[i] != 0)
+    strict = [
+        gram_vec(lat, r)
+        for r in roots
+        if any(r[i] * candidate[j] != r[j] * candidate[i] for i in range(n) for j in range(n))
+    ]
+    strict.append(gram_vec(lat, ample))
+    system = [
+        (tuple(Fraction(row[j]) - Fraction(row[k] * eq[j], eq[k]) for j in range(n) if j != k),
+         Fraction(0), True)
+        for row in strict
+    ]
+    return fm_satisfiable(system, n - 1)
 
 
 # ------------------------------------------------------ structured lattices

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ihscone.catalog import is_numerically_exceptional, parse_type
+from ihscone.catalog import is_numerically_exceptional, parse_type, profiles
 from ihscone.engine import (
     EnumerationBound,
     _ball_points,
@@ -27,7 +27,7 @@ from ihscone.errors import (
     SignatureError,
 )
 from ihscone.lattice import Lattice, norm, pairing
-from tests.helpers import apply_matrix, box_oracle, transported
+from tests.helpers import apply_matrix, box_oracle, fm_is_wall, transported
 
 K3 = parse_type("K3")
 K3_RANK3 = Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
@@ -226,6 +226,43 @@ def test_analyze_wall_test_rank_cap():
     with pytest.raises(BoundExceededError):
         analyze(K3_RANK3, K3, AMPLE3,
                 EnumerationBound(max_ample_pairing=4, wall_test_limit=2))
+
+
+def test_analyze_walls_match_fm_oracle():
+    # seeded rank 3-5 corpus over all five types: the double-description
+    # facet test and the Fourier-Motzkin strict system pick the same walls.
+    # Each lattice contains a class of a profile of its type: e1 with
+    # norm p.square and pairing p.div against e0.
+    rng = random.Random(5150)
+    types = [K3, parse_type("K3[n]", 2), parse_type("K3[n]", 3), parse_type("Kum[n]", 2),
+             parse_type("OG6"), parse_type("OG10")]
+    seen_types = set()
+    checked = walls = 0
+    while checked < 60:
+        t = rng.choice(types)
+        p = rng.choice(profiles(t))
+        rank = rng.randint(3, 5)
+        negs = sorted({-q.square for q in profiles(t)} | {2, 4})
+        gram = [[0] * rank for _ in range(rank)]
+        gram[0][0] = 2 * rng.randint(1, 3)
+        gram[0][1] = gram[1][0] = p.div
+        gram[1][1] = p.square
+        for i in range(2, rank):
+            gram[i][i] = -rng.choice(negs)
+        base = Lattice(tuple(tuple(row) for row in gram))
+        lat, (ample,) = transported(rng, base, [(1,) + (0,) * (rank - 1)])
+        # Fourier-Motzkin cost explodes with rank and class count
+        bound = rng.randint(p.div, max(p.div, {3: 8, 4: 5, 5: 3}[rank]))
+        res = analyze(lat, t, ample, EnumerationBound(max_ample_pairing=bound))
+        classes = res.exceptional_found
+        assert classes
+        oracle = tuple(c for c in classes if fm_is_wall(lat, classes, c, ample))
+        assert res.chamber_walls == oracle
+        seen_types.add(t.kind)
+        checked += 1
+        walls += len(oracle)
+    assert len(seen_types) == 5
+    assert 0 < walls
 
 
 def test_classify_rank2_requires_rank2():

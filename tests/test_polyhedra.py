@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from tests.helpers import brute_force_extreme_rays
 from ihscone.polyhedra import (
     canonical_ray,
     dd_generators,
@@ -183,3 +184,47 @@ def test_dd_generators_rays_are_primitive():
     assert rays
     for u in rays:
         assert gcd(*u) == 1
+
+
+def test_dd_generators_complete_random():
+    # every extreme ray, and no other, against a brute force over all
+    # rank-(r-1) subsets of rows; rows drawn from a k-dimensional span
+    # with k < n give cones with a nontrivial lineality space
+    rng = random.Random(1996)
+    nonpointed = 0
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        k = rng.randint(1, n)
+        span = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(k)]
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            if rows and rng.random() < 0.2:
+                # a scaled copy: two tight bits that name one hyperplane
+                rows.append(tuple(rng.randint(1, 3) * x for x in rng.choice(rows)))
+                continue
+            coeffs = [rng.randint(-2, 2) for _ in range(k)]
+            rows.append(tuple(sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(n)))
+        lin, rays = dd_generators(rows, n)
+        _, piv = rref(rows)
+        assert len(lin) == n - len(piv)
+        nonpointed += bool(lin)
+        values = [tuple(sum(a * b for a, b in zip(row, u)) for row in rows) for u in rays]
+        assert same_ray_set(values, brute_force_extreme_rays(rows, n))
+    assert nonpointed >= 30
+
+
+def test_dd_generators_repeated_facet_adjacency():
+    # cone over a cube whose facet x0 + x3 >= 0 is given twice, cut last
+    # by x0 + x1 + x2 >= 0.  Diagonal corners of that square facet share
+    # two tight rows, enough by count for adjacency in R^4; only the
+    # other two corners, tight on both as well, show they are not
+    # adjacent.  Combining them would add the facet's centre as a ray.
+    rows = [(1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0),
+            (1, 0, 0, 1), (2, 0, 0, 2), (1, 0, 0, -1), (1, 1, 1, 0)]
+    lin, rays = dd_generators(rows, 4)
+    assert lin == []
+    corners = [(1, a, b, s) for a in (1, -1) for b in (1, -1) for s in (1, -1) if (a, b) != (-1, -1)]
+    cuts = [(1, 0, -1, s) for s in (1, -1)] + [(1, -1, 0, s) for s in (1, -1)]
+    assert same_ray_set(rays, corners + cuts)
+    values = [tuple(sum(a * b for a, b in zip(row, u)) for row in rows) for u in rays]
+    assert same_ray_set(values, brute_force_extreme_rays(rows, 4))

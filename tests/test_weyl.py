@@ -9,7 +9,8 @@ from ihscone.errors import (
     NonIntegralReflectionError,
     PreconditionError,
 )
-from ihscone.lattice import Lattice, det_int, norm, pairing
+from ihscone.lattice import Lattice, det_int, gram_vec, norm, pairing
+from ihscone.polyhedra import dd_generators
 from ihscone.weyl import (
     Reflection,
     is_chamber_wall,
@@ -17,7 +18,13 @@ from ihscone.weyl import (
     reflection_is_integral,
     weyl_reduce,
 )
-from tests.helpers import rand_profile_root
+from tests.helpers import (
+    fm_is_wall,
+    rand_diag_gram,
+    rand_primitive,
+    rand_profile_root,
+    transported,
+)
 
 DIAG = Lattice(((2, 0), (0, -2)))
 DENSE = Lattice(((2, 1), (1, -2)))
@@ -168,27 +175,43 @@ def test_weyl_reduce_step_cap():
         weyl_reduce(DIAG, ((0, 1), (0, -1)), (1, 1), max_steps=50)
 
 
+def _chamber(L, roots, ample):
+    rows = [gram_vec(L, r) for r in roots] + [gram_vec(L, ample)]
+    return dd_generators(rows, L.rank)
+
+
 def test_is_chamber_wall_frozen():
-    ample = (1, 0)
-    assert is_chamber_wall(DENSE, DENSE_ROOTS, (0, 1), ample)
-    assert is_chamber_wall(DENSE, DENSE_ROOTS, (1, -1), ample)
-    assert not is_chamber_wall(DENSE, DENSE_ROOTS, (1, 2), ample)
-    assert not is_chamber_wall(DENSE, DENSE_ROOTS, (3, -2), ample)
+    lin, rays = _chamber(DENSE, DENSE_ROOTS, (1, 0))
+    assert is_chamber_wall(DENSE, (0, 1), lin, rays)
+    assert is_chamber_wall(DENSE, (1, -1), lin, rays)
+    assert not is_chamber_wall(DENSE, (1, 2), lin, rays)
+    assert not is_chamber_wall(DENSE, (3, -2), lin, rays)
     # a single root is always a wall
-    assert is_chamber_wall(DIAG, ((0, 1),), (0, 1), (1, 0))
-
-
-def test_is_chamber_wall_requires_candidate_root():
-    with pytest.raises(PreconditionError):
-        is_chamber_wall(DENSE, DENSE_ROOTS, (1, 1), (1, 0))
-
-
-def test_is_chamber_wall_rank_cap():
-    lat = Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
-    with pytest.raises(BoundExceededError):
-        is_chamber_wall(lat, ((0, 1, 0),), (0, 1, 0), (1, 0, 0), rank_limit=2)
+    assert is_chamber_wall(DIAG, (0, 1), *_chamber(DIAG, ((0, 1),), (1, 0)))
 
 
 def test_is_chamber_wall_ignores_proportional_duplicates():
     roots = DENSE_ROOTS + ((0, 2),)
-    assert is_chamber_wall(DENSE, roots, (0, 1), (1, 0))
+    assert is_chamber_wall(DENSE, (0, 1), *_chamber(DENSE, roots, (1, 0)))
+
+
+def test_is_chamber_wall_matches_fm_oracle():
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 40:
+        rank = rng.randint(2, 4)
+        base = Lattice(rand_diag_gram(rng, rank, pos_max=3, neg_max=3))
+        lat, (ample,) = transported(rng, base, [(1,) + (0,) * (rank - 1)])
+        roots = set()
+        for _ in range(rng.randint(1, 6)):
+            v = rand_primitive(rng, rank, span=3)
+            p = pairing(lat, v, ample)
+            if p != 0 and norm(lat, v) < 0:
+                roots.add(v if p > 0 else tuple(-x for x in v))
+        if not roots:
+            continue
+        roots = sorted(roots)
+        lin, rays = _chamber(lat, roots, ample)
+        for c in roots:
+            assert is_chamber_wall(lat, c, lin, rays) == fm_is_wall(lat, roots, c, ample)
+        checked += 1
