@@ -104,22 +104,6 @@ def expected_disc_group(t: DeformationType) -> tuple[int, ...]:
     return (2 * (t.n + 1),)
 
 
-def embeds_two_hyperbolic_planes(t: DeformationType) -> bool:
-    """Documentation flag: the full lattice of every catalog type splits
-    off two hyperbolic planes, so Eichler's criterion applies there."""
-    return True
-
-
-def rlf_and_cone_flags(t: DeformationType) -> dict:
-    """Known-results flags used by the cone analysis.
-
-    For all catalog types the rational-Lagrangian-fibration statement is
-    a theorem (not merely conjectural) and the positive part of the
-    movable cone already generates the exceptional chamber decomposition.
-    """
-    return {"rlf_conjecture": True, "mov_plus_equals_mov_e": True}
-
-
 def matches_profile(L: Lattice, t: DeformationType, v: Sequence[int]) -> bool:
     """Norm equals a profile square and the profile divisibility divides
     the divisibility computed in L.

@@ -123,13 +123,6 @@ def parse_input(text: str) -> InputSpec:
         if len(row) != n_rank:
             raise InputFormatError(f"gram: row {i} has length {len(row)}, expected {n_rank}")
         rows.append(tuple(_as_int(x, f"gram[{i}][{j}]") for j, x in enumerate(row)))
-    for i in range(n_rank):
-        for j in range(i + 1, n_rank):
-            if rows[i][j] != rows[j][i]:
-                raise InputFormatError(
-                    f"gram is not symmetric: entry ({i},{j}) = {rows[i][j]} "
-                    f"but ({j},{i}) = {rows[j][i]}"
-                )
 
     tag = doc["type"]
     if not isinstance(tag, str):

@@ -4,6 +4,12 @@ Everything here is exact. The only concession to computability is the
 ample-pairing bound B: all statements about "the" exceptional classes are
 truncated to classes v with 0 < pairing(v, ample) <= B, and every report
 names that truncation.
+
+Classes of a profile with a fixed ample pairing lie on the shell of an
+ellipsoid; `_shell_points` lists its integer points by fraction-free integer
+elimination, so the search uses integers only (`Fraction` appears only in the
+rank-2 surd arithmetic). Its output order is fixed because the ample-wall
+witness printed in reports is the first class it meets.
 """
 from __future__ import annotations
 
@@ -32,7 +38,7 @@ from .lattice import (
     smith_normal_form,
 )
 from .pell import is_perfect_square
-from .polyhedra import canonical_ray, dd_generators, invert_matrix, same_ray_set
+from .polyhedra import canonical_ray, dd_generators, same_ray_set
 from .weyl import is_chamber_wall
 
 VERDICT_CIRCULAR = "CircularUpToBound"
@@ -136,87 +142,68 @@ class ConeAnalysis:
 
 
 # ---------------------------------------------------------------------------
-# exact ellipsoid point enumeration
+# exact ellipsoid shell enumeration
 
 
-def _floor_sqrt_fraction(f: Fraction) -> int:
-    # floor(sqrt(p/q)) = floor(isqrt(p*q)/q) for q >= 1
-    if f < 0:
-        raise ValueError("negative radicand")
-    return math.isqrt(f.numerator * f.denominator) // f.denominator
+def _shell_points(p, b, c) -> list[tuple[int, ...]]:
+    """All integer z with z^T p z - 2 b.z = c, p a positive definite integer Gram.
 
+    Fraction-free (Bareiss) elimination of z_0, ..., z_{k-1} from the
+    bordered matrix [[p, -b], [-b^T, -c]] gives, for Q_0 = z^T p z - 2 b.z - c,
 
-def _le_sqrt(r: Fraction, rad: Fraction) -> bool:
-    # r <= sqrt(rad)
-    return r <= 0 or r * r <= rad
+        a_i Q_i = (a_i z_i + L_i)^2 + prev_i Q_{i+1},
 
-
-def _gt_sqrt(r: Fraction, rad: Fraction) -> bool:
-    # r > sqrt(rad)
-    return r > 0 and r * r > rad
-
-
-def _floor_plus_sqrt(c: Fraction, rad: Fraction) -> int:
-    """floor(c + sqrt(rad)) exactly, rad >= 0."""
-    n = math.floor(c) + _floor_sqrt_fraction(rad)
-    while _le_sqrt(Fraction(n + 1) - c, rad):
-        n += 1
-    while _gt_sqrt(Fraction(n) - c, rad):
-        n -= 1
-    return n
-
-
-def _ceil_minus_sqrt(c: Fraction, rad: Fraction) -> int:
-    return -_floor_plus_sqrt(-c, rad)
-
-
-def _ldl(p: Sequence[Sequence[Fraction]]):
-    """p = U^T diag(d) U with U unit upper triangular; p must be positive definite."""
-    k = len(p)
-    d = [Fraction(0)] * k
-    u = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        s = p[i][i] - sum(d[m] * u[m][i] * u[m][i] for m in range(i))
-        if s <= 0:
-            raise PreconditionError("quadratic form is not positive definite")
-        d[i] = s
-        u[i][i] = Fraction(1)
-        for j in range(i + 1, k):
-            u[i][j] = (p[i][j] - sum(d[m] * u[m][i] * u[m][j] for m in range(i))) / s
-    return d, u
-
-
-def _ball_points(p, m, radius: Fraction) -> list[tuple[int, ...]]:
-    """All integer z with (z - m)^T p (z - m) <= radius, p positive definite.
-
-    Deterministic nested-interval recursion; every bound is an exact floor or
-    ceiling of a rational-plus-square-root expression.
+    where Q_i and L_i involve only z_i, ..., z_{k-1}, a_i > 0 is the
+    leading principal minor of p of size i + 1 and prev_i = a_{i-1}
+    (prev_0 = 1); every division is exact by Sylvester's identity. On the
+    shell Q_0 = 0 each rem_i = -Q_i is a nonnegative integer, so once
+    z_{i+1}, ..., z_{k-1} are fixed, (a_i z_i + L_i)^2 <= prev_i rem_{i+1}
+    gives z_i an exact integer interval, and at the last level the equality
+    (a_0 z_0 + L_0)^2 = rem_1 leaves at most two roots (Fincke & Pohst's
+    recursion restricted to the boundary). Points come out in ascending
+    (z_{k-1}, ..., z_0) order.
     """
-    k = len(m)
-    if radius < 0:
-        return []
+    k = len(p)
     if k == 0:
-        return [()]
-    d, u = _ldl(p)
+        return [()] if c == 0 else []
+    m = [list(row) + [-bi] for row, bi in zip(p, b)] + [[-bi for bi in b] + [-c]]
+    levels = []
+    prev = 1
+    for _ in range(k):
+        a, row = m[0][0], m[0][1:]
+        if a <= 0:
+            raise ContractViolationError("quadratic form is not positive definite")
+        levels.append((a, row, prev))
+        m = [
+            [(a * x - ri * rj) // prev for x, rj in zip(mrow[1:], row)]
+            for mrow, ri in zip(m[1:], row)
+        ]
+        prev = a
     out: list[tuple[int, ...]] = []
     z = [0] * k
 
-    def rec(i: int, budget: Fraction) -> None:
-        w = sum((u[i][j] * (z[j] - m[j]) for j in range(i + 1, k)), Fraction(0))
-        center = m[i] - w
-        rad = budget / d[i]
-        lo = _ceil_minus_sqrt(center, rad)
-        hi = _floor_plus_sqrt(center, rad)
-        for zi in range(lo, hi + 1):
+    def rec(i: int, rem: int) -> None:
+        a, row, prev = levels[i]
+        lin = sum(rj * zj for rj, zj in zip(row, z[i + 1:])) + row[-1]
+        if i == 0:
+            r = math.isqrt(rem)
+            if r * r == rem:
+                for t in ((-r, r) if r else (0,)):
+                    z0, off = divmod(t - lin, a)
+                    if off == 0:
+                        z[0] = z0
+                        out.append(tuple(z))
+            return
+        top = prev * rem
+        s = math.isqrt(top)
+        for zi in range(-((lin + s) // a), (s - lin) // a + 1):
             z[i] = zi
-            t = zi - center
-            rem = budget - d[i] * t * t
-            if i == 0:
-                out.append(tuple(z))
-            else:
-                rec(i - 1, rem)
+            t = a * zi + lin
+            rec(i - 1, (top - t * t) // a)
 
-    rec(k - 1, radius)
+    rem = -m[0][0]  # -Q_k, a constant once every z_i is eliminated
+    if rem >= 0:
+        rec(k - 1, rem)
     return out
 
 
@@ -247,11 +234,7 @@ def _ample_frame(lattice: Lattice, ample: Vec):
 
 def _complement_form(lattice: Lattice, kernel: Sequence[Vec]):
     """Positive definite Gram of the negated pairing on the kernel sublattice."""
-    k = len(kernel)
-    return [
-        [Fraction(-pairing(lattice, kernel[i], kernel[j])) for j in range(k)]
-        for i in range(k)
-    ]
+    return [[-pairing(lattice, u, w) for w in kernel] for u in kernel]
 
 
 def _profile_div_table(t: DeformationType) -> dict[int, tuple[int, ...]]:
@@ -280,6 +263,26 @@ def _check_analysis_input(lattice: Lattice, ample: Vec) -> None:
         )
 
 
+def _profile_classes(lattice: Lattice, t: DeformationType, x_p: Vec, kernel, p_matrix):
+    """Profile-matching primitive classes x_p + sum z_i kernel_i, in shell order.
+
+    With b_i = pairing(x_p, kernel_i) the norm of such a class is
+    norm(x_p) + 2 b.z - z^T p z, so norm = square is the shell equation
+    z^T p z - 2 b.z = norm(x_p) - square. Squares are visited in ascending
+    order.
+    """
+    b = [pairing(lattice, x_p, u) for u in kernel]
+    c0 = norm(lattice, x_p)
+    for square, allowed in sorted(_profile_div_table(t).items()):
+        for z in _shell_points(p_matrix, b, c0 - square):
+            v = tuple(
+                x + sum(zi * u[r] for zi, u in zip(z, kernel))
+                for r, x in enumerate(x_p)
+            )
+            if is_primitive(lattice, v) and _div_matches(divisibility(lattice, v), allowed):
+                yield v
+
+
 def enumerate_exceptional(
     lattice: Lattice,
     t: DeformationType,
@@ -290,65 +293,35 @@ def enumerate_exceptional(
 
     Complete within the bound: for each attainable pairing value p the affine
     set {v : pairing(v, ample) = p} is a translated sublattice on which the
-    form is negative definite, and the profile equation cuts out an ellipsoid
-    that is enumerated exactly. Output is sorted lexicographically; canonical
-    sign (positive ample-pairing) is automatic.
+    form is negative definite, so the profile equation norm(v) = square cuts
+    out the shell of an ellipsoid. `_shell_points` lists exactly its integer
+    points by fraction-free integer elimination; no point inside the shell
+    is visited. Output is sorted lexicographically; canonical sign (positive
+    ample-pairing) is automatic.
     """
     bound = bound or EnumerationBound()
     _check_analysis_input(lattice, ample)
-    div_table = _profile_div_table(t)
     g, x_unit, kernel = _ample_frame(lattice, ample)
     p_matrix = _complement_form(lattice, kernel)
-    k = len(kernel)
-    inv = invert_matrix(p_matrix) if k else []
     found: list[Vec] = []
     for p in range(g, bound.max_ample_pairing + 1, g):
-        scale = p // g
-        x_p = tuple(scale * x for x in x_unit)
-        c0 = norm(lattice, x_p)
-        b = [Fraction(pairing(lattice, x_p, kernel[i])) for i in range(k)]
-        m = [sum(inv[i][j] * b[j] for j in range(k)) for i in range(k)] if k else []
-        for square, allowed in div_table.items():
-            radius = sum(bi * mi for bi, mi in zip(b, m)) - square + c0
-            for z in _ball_points(p_matrix, m, Fraction(radius)):
-                v = tuple(
-                    x_p[r] + sum(z[i] * kernel[i][r] for i in range(k))
-                    for r in range(lattice.rank)
-                )
-                if norm(lattice, v) != square:
-                    continue
-                if not is_primitive(lattice, v):
-                    continue
-                if _div_matches(divisibility(lattice, v), allowed):
-                    found.append(v)
+        x_p = tuple(p // g * x for x in x_unit)
+        found.extend(_profile_classes(lattice, t, x_p, kernel, p_matrix))
     return tuple(sorted(set(found)))
 
 
 def _ample_wall_witness(
     lattice: Lattice, t: DeformationType, ample: Vec
 ) -> Optional[Vec]:
-    """A profile-matching class orthogonal to the ample class, if one exists."""
-    g, x_unit, kernel = _ample_frame(lattice, ample)
-    k = len(kernel)
-    if k == 0:
-        return None
+    """A profile-matching class orthogonal to the ample class, if one exists.
+
+    The first class in shell order is returned; reports print it, so the
+    order of `_shell_points` is part of the output.
+    """
+    _, _, kernel = _ample_frame(lattice, ample)
     p_matrix = _complement_form(lattice, kernel)
-    zero = [Fraction(0)] * k
-    for square, allowed in sorted(_profile_div_table(t).items()):
-        for z in _ball_points(p_matrix, zero, Fraction(-square)):
-            if all(x == 0 for x in z):
-                continue
-            v = tuple(
-                sum(z[i] * kernel[i][r] for i in range(k))
-                for r in range(lattice.rank)
-            )
-            if norm(lattice, v) != square:
-                continue
-            if not is_primitive(lattice, v):
-                continue
-            if _div_matches(divisibility(lattice, v), allowed):
-                return v
-    return None
+    origin = (0,) * lattice.rank
+    return next(_profile_classes(lattice, t, origin, kernel, p_matrix), None)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +484,7 @@ def _duality_round_trip(lattice: Lattice, walls: Sequence[Vec]) -> bool:
     run through exact double description.
     """
     n = lattice.rank
-    rows = [tuple(Fraction(x) for x in gram_vec(lattice, w)) for w in walls]
+    rows = [gram_vec(lattice, w) for w in walls]
     lineality, generators = dd_generators(rows, n)
     for w in walls:
         for gen in generators:
@@ -520,9 +493,9 @@ def _duality_round_trip(lattice: Lattice, walls: Sequence[Vec]) -> bool:
         for lin in lineality:
             if pairing(lattice, w, lin) != 0:
                 return False
-    dual_rows = [tuple(Fraction(x) for x in gram_vec(lattice, gen)) for gen in generators]
+    dual_rows = [gram_vec(lattice, gen) for gen in generators]
     for lin in lineality:
-        row = tuple(Fraction(x) for x in gram_vec(lattice, lin))
+        row = gram_vec(lattice, lin)
         dual_rows.append(row)
         dual_rows.append(tuple(-x for x in row))
     lin2, rays2 = dd_generators(dual_rows, n)

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from .engine import ConeAnalysis, _ample_frame
 from .errors import PreconditionError
 from .lattice import Lattice, Vec, norm, pairing
-from .polyhedra import invert_matrix
 
 _FMT = "%.6f"
 

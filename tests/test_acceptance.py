@@ -7,7 +7,7 @@ via the hook in conftest.py.
 import json
 import random
 import time
-from math import gcd, isqrt
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -35,7 +35,6 @@ from ihscone.lattice import (
     pairing,
 )
 from ihscone.pell import (
-    PellSolution,
     fundamental_solution,
     next_solution,
     second_solution,

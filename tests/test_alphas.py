@@ -16,11 +16,10 @@ from ihscone.alphas import (
     build_context,
 )
 from ihscone.catalog import parse_type
-from ihscone.errors import ContractViolationError, PreconditionError
+from ihscone.errors import PreconditionError
 from ihscone.lattice import (
     Lattice,
     disc_class,
-    divisibility,
     is_primitive,
     norm,
     pairing,

@@ -8,13 +8,11 @@ from ihscone.catalog import (
     DeformationType,
     ExceptionalProfile,
     Kind,
-    embeds_two_hyperbolic_planes,
     expected_disc_group,
     is_numerically_exceptional,
     matches_profile,
     parse_type,
     profiles,
-    rlf_and_cone_flags,
 )
 from ihscone.errors import InputFormatError, PreconditionError
 from ihscone.lattice import Lattice
@@ -121,13 +119,6 @@ def test_profile_invariants_across_catalog():
         if t.kind in (Kind.K3N, Kind.KUMN):
             assert ps[0].square == ps[1].square
             assert ps[1].div == 2 * ps[0].div
-
-
-def test_flags():
-    for t in ALL_TYPES:
-        assert embeds_two_hyperbolic_planes(t)
-        flags = rlf_and_cone_flags(t)
-        assert flags == {"rlf_conjecture": True, "mov_plus_equals_mov_e": True}
 
 
 def test_matches_profile_divide_rule():

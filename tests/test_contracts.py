@@ -18,3 +18,29 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(name, node) for name, node in imported.items() if name not in used]
+
+
+def test_library_has_no_unused_imports():
+    # __init__.py imports only to re-export, so it is left out
+    package = Path(ihscone.__file__).parent
+    modules = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    assert len(modules) >= 10
+    found = [
+        f"{path.name}:{node.lineno} {name}"
+        for path in modules
+        for name, node in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []

@@ -1,33 +1,28 @@
 """Bounded cone analysis: exceptional enumeration, chamber walls, the
 dichotomy verdict, rank-2 boundary rays, finiteness and MDS reports."""
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ihscone.catalog import is_numerically_exceptional, parse_type, profiles
 from ihscone.engine import (
     EnumerationBound,
-    _ball_points,
-    _ceil_minus_sqrt,
-    _floor_plus_sqrt,
-    _floor_sqrt_fraction,
-    _gt_sqrt,
-    _le_sqrt,
+    _shell_points,
     analyze,
     classify_rank2,
     enumerate_exceptional,
 )
 from ihscone.errors import (
     BoundExceededError,
+    ContractViolationError,
     MixedRationalityError,
     PreconditionError,
     SignatureError,
 )
-from ihscone.lattice import Lattice, norm, pairing
-from tests.helpers import apply_matrix, box_oracle, fm_is_wall, transported
+from ihscone.lattice import Lattice, det_int, pairing
+from tests.helpers import box_oracle, fm_is_wall, transported
 
 K3 = parse_type("K3")
 K3_RANK3 = Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
@@ -101,7 +96,7 @@ def test_enumerate_matches_box_oracle():
              parse_type("Kum[n]", 2)]
     runs = 0
     while runs < 24:
-        rank = rng.randint(2, 3)
+        rank = rng.randint(2, 5)
         g0 = 2 * rng.randint(1, 3)
         diag = [g0] + [-2 * rng.randint(1, 3) for _ in range(rank - 1)]
         gram = tuple(
@@ -286,53 +281,62 @@ def test_duality_checked_across_small_sample():
         assert len(res.chamber_walls) == 4
 
 
-@given(
-    st.fractions(min_value=-50, max_value=50),
-    st.fractions(min_value=0, max_value=2500),
-)
-@settings(deadline=None, max_examples=200)
-def test_floor_plus_sqrt_exact(c, rad):
-    n = _floor_plus_sqrt(c, rad)
-    # n <= c + sqrt(rad) < n + 1, compared without any floating point
-    assert _le_sqrt(Fraction(n) - c, rad)
-    assert _gt_sqrt(Fraction(n + 1) - c, rad)
-    m = _ceil_minus_sqrt(c, rad)
-    # m >= c - sqrt(rad) > m - 1
-    assert _le_sqrt(c - Fraction(m), rad)
-    assert _gt_sqrt(c - Fraction(m - 1), rad)
+def _random_positive_definite(rng, k):
+    while True:
+        p = [[0] * k for _ in range(k)]
+        for i in range(k):
+            p[i][i] = rng.randint(1, 6)
+            for j in range(i):
+                p[i][j] = p[j][i] = rng.randint(-3, 3)
+        if all(det_int([row[:m] for row in p[:m]]) > 0 for m in range(1, k + 1)):
+            return p
 
 
-@given(st.fractions(min_value=0, max_value=10 ** 6))
-@settings(deadline=None, max_examples=200)
-def test_floor_sqrt_fraction_exact(f):
-    k = _floor_sqrt_fraction(f)
-    assert k * k <= f < (k + 1) * (k + 1)
+def _inverse(p):
+    # adjugate over the determinant, exact
+    k = len(p)
+    det = det_int(p)
+
+    def minor(i, j):
+        return [[p[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
+
+    return [[Fraction((-1) ** (i + j) * det_int(minor(j, i)), det) for j in range(k)]
+            for i in range(k)]
 
 
-def test_floor_sqrt_fraction_rejects_negative():
-    with pytest.raises(ValueError):
-        _floor_sqrt_fraction(Fraction(-1))
-
-
-def test_ball_points_matches_brute_force():
+def test_shell_points_matches_brute_force():
+    # z^T p z - 2 b.z = c is the ellipsoid (z - m)^T p (z - m) = R with
+    # m = p^-1 b and R = c + b.m, whose bounding box is
+    # |z_i - m_i| <= sqrt(R (p^-1)_ii); the scan covers that box.
     rng = random.Random(314)
-    for _ in range(30):
-        a = rng.randint(1, 4)
-        b = rng.randint(-2, 2)
-        c = rng.randint(b * b // a + 1, b * b // a + 4)  # keep a*c > b*b
-        p = [[Fraction(a), Fraction(b)], [Fraction(b), Fraction(c)]]
-        m = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(2)]
-        radius = Fraction(rng.randint(0, 40), rng.randint(1, 2))
-        got = set(_ball_points(p, m, radius))
-        brute = set()
-        for x in range(-15, 16):
-            for y in range(-15, 16):
-                dz = (Fraction(x) - m[0], Fraction(y) - m[1])
-                val = (
-                    p[0][0] * dz[0] * dz[0]
-                    + 2 * p[0][1] * dz[0] * dz[1]
-                    + p[1][1] * dz[1] * dz[1]
-                )
-                if val <= radius:
-                    brute.add((x, y))
-        assert got == brute
+    seen = 0
+    for _ in range(150):
+        k = rng.randint(1, 3)
+        p = _random_positive_definite(rng, k)
+        b = [rng.randint(-3, 3) for _ in range(k)]
+        c = rng.randint(-6, 30)
+        inv = _inverse(p)
+        m = [sum(inv[i][j] * b[j] for j in range(k)) for i in range(k)]
+        radius = c + sum(bi * mi for bi, mi in zip(b, m))
+        box = [()]
+        for i in range(k):
+            t = math.isqrt(math.ceil(max(radius, 0) * inv[i][i])) + 1
+            box = [z + (x,) for x in range(math.floor(m[i]) - t, math.ceil(m[i]) + t + 1)
+                   for z in box]
+        brute = [
+            z for z in box
+            if sum(z[i] * p[i][j] * z[j] for i in range(k) for j in range(k))
+            - 2 * sum(bi * zi for bi, zi in zip(b, z)) == c
+        ]
+        # ascending (z_{k-1}, ..., z_0): the order the witness note depends on
+        assert _shell_points(p, b, c) == brute
+        seen += len(brute)
+    assert seen > 100
+
+
+def test_shell_points_edge_cases():
+    # rank-1 lattices have an empty ample kernel
+    assert _shell_points([], [], 0) == [()]
+    assert _shell_points([], [], 3) == []
+    with pytest.raises(ContractViolationError):
+        _shell_points([[1, 2], [2, 1]], [0, 0], 1)
