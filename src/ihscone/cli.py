@@ -70,11 +70,23 @@ def _as_vector(value: Any, where: str, length: Optional[int] = None) -> Vec:
 
 
 def _stringify(obj: Any) -> Any:
-    """Integers to decimal strings, recursively; booleans stay booleans."""
+    """Integers to decimal strings, recursively; booleans stay booleans.
+
+    An integer with more decimal digits than the interpreter converts
+    (sys.get_int_max_str_digits()) raises BoundExceededError.
+    """
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
-        return str(obj)
+        try:
+            return str(obj)
+        except ValueError as exc:
+            raise BoundExceededError(
+                f"a {obj.bit_length()}-bit integer in the report has more than "
+                f"the interpreter's limit of {sys.get_int_max_str_digits()} "
+                "decimal digits; set PYTHONINTMAXSTRDIGITS to raise the limit "
+                "(0 removes it)"
+            ) from exc
     if isinstance(obj, (list, tuple)):
         return [_stringify(x) for x in obj]
     if isinstance(obj, dict):

@@ -43,7 +43,8 @@ class NonIntegralReflectionError(PreconditionError):
 
 
 class BoundExceededError(IHSConeError):
-    """A configured cap (Pell index, reduction steps, rank limit) was hit."""
+    """A configured cap (Pell index, reduction steps, rank limit, the
+    interpreter's int-to-str digit limit) was hit."""
 
 
 class ContractViolationError(IHSConeError):

@@ -1,8 +1,14 @@
 """Pell equations x^2 - N*y^2 = 1 over positive integers, exactly.
 
-The fundamental solution comes from the continued fraction expansion of
-sqrt(N); every further solution follows from the multiplication rule on
-the group of units.
+The fundamental solution comes from one period of the continued fraction
+of sqrt(N) = [a0; a1, ..., aP], whose last partial quotient aP = 2*a0 ends
+the period.  The convergent p/q just before that quotient satisfies
+p^2 - N*q^2 = (-1)^P, so it is the fundamental solution when P is even
+and squares to it, (p^2 + N*q^2, 2*p*q), when P is odd.  Each step adds a
+small multiple of a convergent, so a solve costs O(P*D) for a solution
+of D digits; no step squares the growing convergents.  Every further
+solution follows from the multiplication rule on the group of units, and
+PellSolution re-checks the equation on every solution it holds.
 """
 
 from __future__ import annotations
@@ -50,20 +56,37 @@ def _check_param(n: int) -> None:
 def fundamental_solution(n: int) -> PellSolution:
     """Smallest positive-integer solution of x^2 - n*y^2 = 1.
 
-    Walks the continued fraction convergents of sqrt(n); the first
-    convergent satisfying the equation is the fundamental solution.
+    Runs the recurrences m' = d*a - m, d' = (n - m'^2)/d, a' = (a0 + m')//d'
+    of the continued fraction of sqrt(n), and the convergents p/q with
+    them, until a = 2*a0 closes the first period, of length P.  The last
+    convergent before it, p_{P-1}/q_{P-1}, has p^2 - n*q^2 = (-1)^P
+    (Lenstra 2002, "Solving the Pell equation").  For even P it is the
+    fundamental solution; for odd P it solves the negative equation and
+    its square (p^2 + n*q^2, 2*p*q) is the fundamental solution.
+
+    Because the period rule says where the solution is, no convergent is
+    tested against the equation along the way: each step only multiplies
+    a convergent by a quotient a < 2*sqrt(n), O(D) for D-digit
+    convergents, where a per-step test would square them.  PellSolution
+    verifies the returned pair exactly.
     """
     _check_param(n)
     a0 = math.isqrt(n)
     m, d, a = 0, 1, a0
     h_prev, h = 1, a0
     k_prev, k = 0, 1
-    while h * h - n * k * k != 1:
+    period = 0
+    while True:
         m = d * a - m
         d = (n - m * m) // d
         a = (a0 + m) // d
+        period += 1
+        if a == 2 * a0:
+            break
         h_prev, h = h, a * h + h_prev
         k_prev, k = k, a * k + k_prev
+    if period % 2:
+        h, k = h * h + n * k * k, 2 * h * k
     return PellSolution(h, k, n)
 
 

@@ -97,7 +97,11 @@ def rref(rows: Sequence[Sequence[Fraction]]):
 
 def kernel_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[FrVec]:
     """Basis of {x in Q^n : row . x = 0 for every row}."""
-    red, pivots = rref(rows)
+    return _kernel_from_rref(*rref(rows), n)
+
+
+def _kernel_from_rref(red, pivots, n: int) -> list[FrVec]:
+    """kernel_basis from an rref result (red, pivots) of the rows."""
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
@@ -120,7 +124,7 @@ def canonical_ray(v: Sequence) -> tuple[int, ...]:
     return tuple(x // g for x in ints)
 
 
-def dd_generators(ineq_rows: Sequence[Sequence[Fraction]], n: int):
+def dd_generators(ineq_rows: Sequence[Sequence[int]], n: int):
     """Generators of the cone {x in R^n : a . x >= 0 for each row a}.
 
     Returns (lineality_basis, extreme_rays), both lists of primitive
@@ -139,11 +143,11 @@ def dd_generators(ineq_rows: Sequence[Sequence[Fraction]], n: int):
     nothing needs pruning.
     """
     rows = [canonical_ray(r) for r in ineq_rows if any(x != 0 for x in r)]
-    lin = [canonical_ray(b) for b in kernel_basis(rows, n)]
+    red, pivots = rref(rows)
+    lin = [canonical_ray(b) for b in _kernel_from_rref(red, pivots, n)]
     if not rows:
         return lin, []
     # reduced coordinates: the pivot columns span a complement of lin
-    _, pivots = rref(rows)
     r = len(pivots)
     B = [tuple(row[p] for p in pivots) for row in rows]
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: input validation, report shape, schema
 conformance, exit codes, determinism."""
 import json
+import os
 import re
 import subprocess
 import sys
@@ -319,6 +320,40 @@ def test_exit_4_on_bound_exceeded(tmp_path, capsys):
     code, _, err = _run(capsys, ["analyze", "--input", _write(tmp_path, doc_in)])
     assert code == 4
     assert _error_doc(err)["kind"] == "BoundExceededError"
+
+
+# N = 6615019: the second Pell solution has 4311 decimal digits
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not 0 < _DIGIT_LIMIT < 4311, reason="interpreter converts a 4311-digit int to str"
+)
+
+
+@needs_digit_limit
+def test_exit_4_on_integer_over_digit_limit(tmp_path, capsys):
+    path = tmp_path / "pell.json"
+    path.write_text(json.dumps({"n": 6615019}))
+    code, out, err = _run(capsys, ["pell", "--input", str(path)])
+    assert code == 4 and out == ""
+    e = _error_doc(err)
+    assert e["kind"] == "BoundExceededError"
+    assert str(_DIGIT_LIMIT) in e["message"] and "PYTHONINTMAXSTRDIGITS" in e["message"]
+
+
+@needs_digit_limit
+def test_digit_limit_prints_no_traceback(tmp_path):
+    path = tmp_path / "pell.json"
+    path.write_text(json.dumps({"n": 6615019}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(_DIGIT_LIMIT))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ihscone.cli", "pell", "--input", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert _error_doc(proc.stderr)["kind"] == "BoundExceededError"
 
 
 def test_exit_5_on_contract_violation(tmp_path, capsys):

@@ -54,6 +54,11 @@ def test_fundamental_frozen():
     # the classic large one: the solver must not mind 10-digit answers
     s61 = fundamental_solution(61)
     assert (s61.x, s61.y) == (1766319049, 226153980)
+    # sqrt(13) = [3; 1, 1, 1, 1, 6] has odd period 5: the last convergent
+    # 18/5 solves x^2 - 13*y^2 = -1 and is squared
+    assert (fundamental_solution(13).x, fundamental_solution(13).y) == (649, 180)
+    # sqrt(46) has even period 12: the last convergent is the solution
+    assert (fundamental_solution(46).x, fundamental_solution(46).y) == (24335, 3588)
 
 
 def test_fundamental_rejects_bad_parameters():
@@ -84,13 +89,22 @@ def test_fundamental_matches_x_increment_oracle():
 
 
 def test_fundamental_matches_cyclic_method():
-    rng = random.Random(7)
-    checked = 0
-    for n in rng.sample(nonsquares_up_to(1500), 60):
+    for n in nonsquares_up_to(3000):
         s = fundamental_solution(n)
         assert chakravala(n) == (s.x, s.y)
-        checked += 1
-    assert checked == 60
+
+
+def test_fundamental_matches_cyclic_method_large():
+    # three long periods (fundamental x of 1034-3873 digits) and ten random N
+    rng = random.Random(7)
+    params = [999331, 4000189, 6615019]
+    while len(params) < 13:
+        n = rng.randrange(10 ** 5, 10 ** 7)
+        if is_perfect_square(n) is None:
+            params.append(n)
+    for n in params:
+        s = fundamental_solution(n)
+        assert chakravala(n) == (s.x, s.y)
 
 
 def test_solution_invariant_enforced():
