@@ -50,13 +50,40 @@ SCHEMA_VERSION = "1"
 _INT_RE = re.compile(r"^-?[0-9]+$")
 
 
+def _digit_limit_message(what: str) -> str:
+    return (
+        f"{what} has more than the interpreter's limit of "
+        f"{sys.get_int_max_str_digits()} decimal digits; set "
+        "PYTHONINTMAXSTRDIGITS to raise the limit (0 removes it)"
+    )
+
+
+def _load_json(text: str) -> Any:
+    """json.loads, with its errors as InputFormatError.
+
+    An integer literal over the interpreter's int-from-str digit limit
+    makes json.loads raise a plain ValueError.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputFormatError(f"malformed JSON: {exc}") from exc
+    except ValueError as exc:
+        raise InputFormatError(_digit_limit_message("an integer literal")) from exc
+
+
 def _as_int(value: Any, where: str) -> int:
     if isinstance(value, bool):
         raise InputFormatError(f"{where}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
     if isinstance(value, str) and _INT_RE.match(value):
-        return int(value)
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise InputFormatError(
+                f"{where}: " + _digit_limit_message("the decimal string")
+            ) from exc
     raise InputFormatError(f"{where}: expected an integer or decimal string, got {value!r}")
 
 
@@ -82,13 +109,15 @@ def _stringify(obj: Any) -> Any:
             return str(obj)
         except ValueError as exc:
             raise BoundExceededError(
-                f"a {obj.bit_length()}-bit integer in the report has more than "
-                f"the interpreter's limit of {sys.get_int_max_str_digits()} "
-                "decimal digits; set PYTHONINTMAXSTRDIGITS to raise the limit "
-                "(0 removes it)"
+                _digit_limit_message(f"a {obj.bit_length()}-bit integer in the report")
             ) from exc
     if isinstance(obj, (list, tuple)):
-        return [_stringify(x) for x in obj]
+        # plain ints, the bulk of a report, skip the recursive call; one
+        # over the digit limit makes str raise, and the slow path names it
+        try:
+            return [str(x) if type(x) is int else _stringify(x) for x in obj]
+        except ValueError:
+            return [_stringify(x) for x in obj]
     if isinstance(obj, dict):
         return {k: _stringify(v) for k, v in obj.items()}
     return obj
@@ -112,10 +141,7 @@ _BOUND_FIELDS = {"max_ample_pairing", "wall_test_limit", "pell_index_cap"}
 
 def parse_input(text: str) -> InputSpec:
     """Validate a lattice analysis document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InputFormatError("input document must be a JSON object")
     unknown = sorted(set(doc) - _LATTICE_FIELDS)
@@ -354,10 +380,7 @@ _PELL_FIELDS = {"n", "modulus", "residue", "index_cap", "label"}
 
 
 def run_pell(text: str) -> dict:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputFormatError(f"malformed JSON: {exc}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise InputFormatError("input document must be a JSON object")
     unknown = sorted(set(doc) - _PELL_FIELDS)

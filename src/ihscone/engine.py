@@ -9,13 +9,17 @@ Classes of a profile with a fixed ample pairing lie on the shell of an
 ellipsoid; `_shell_points` lists its integer points by fraction-free integer
 elimination, so the search uses integers only (`Fraction` appears only in the
 rank-2 surd arithmetic). Its output order is fixed because the ample-wall
-witness printed in reports is the first class it meets.
+witness printed in reports is the first class it meets. The integer data a
+shell point needs to become a class (kernel and Gram-times-kernel rows, the
+pairing-g translate, the profile table) is built once per lattice in a
+`_ShellFrame`, so each point costs a few dot products and two gcds.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .catalog import DeformationType, profiles
@@ -29,9 +33,7 @@ from .errors import (
 from .lattice import (
     Lattice,
     Vec,
-    divisibility,
     gram_vec,
-    is_primitive,
     norm,
     pairing,
     signature,
@@ -232,11 +234,6 @@ def _ample_frame(lattice: Lattice, ample: Vec):
     return g, x_unit, kernel
 
 
-def _complement_form(lattice: Lattice, kernel: Sequence[Vec]):
-    """Positive definite Gram of the negated pairing on the kernel sublattice."""
-    return [[-pairing(lattice, u, w) for w in kernel] for u in kernel]
-
-
 def _profile_div_table(t: DeformationType) -> dict[int, tuple[int, ...]]:
     table: dict[int, list[int]] = {}
     for prof in profiles(t):
@@ -263,23 +260,78 @@ def _check_analysis_input(lattice: Lattice, ample: Vec) -> None:
         )
 
 
-def _profile_classes(lattice: Lattice, t: DeformationType, x_p: Vec, kernel, p_matrix):
-    """Profile-matching primitive classes x_p + sum z_i kernel_i, in shell order.
+@dataclass(frozen=True)
+class _ShellFrame:
+    """Integer data every shell class of one lattice, type and ample class needs.
 
-    With b_i = pairing(x_p, kernel_i) the norm of such a class is
-    norm(x_p) + 2 b.z - z^T p z, so norm = square is the shell equation
-    z^T p z - 2 b.z = norm(x_p) - square. Squares are visited in ascending
-    order.
+    With g, x_unit and the kernel basis K of `_ample_frame` and G the
+    Gram matrix: kernel_rows[r] and gram_kernel_rows[r] are row r of K and
+    of G K (so a coordinate of K z or of G K z is one dot product with z),
+    p_matrix is the positive definite -K^T G K, x_unit,
+    gram_x_unit = G x_unit, b_unit = K^T G x_unit and c_unit = norm(x_unit)
+    describe the pairing-g translate, and div_table is
+    `_profile_div_table(t)` sorted by square.
     """
-    b = [pairing(lattice, x_p, u) for u in kernel]
-    c0 = norm(lattice, x_p)
-    for square, allowed in sorted(_profile_div_table(t).items()):
-        for z in _shell_points(p_matrix, b, c0 - square):
-            v = tuple(
-                x + sum(zi * u[r] for zi, u in zip(z, kernel))
-                for r, x in enumerate(x_p)
-            )
-            if is_primitive(lattice, v) and _div_matches(divisibility(lattice, v), allowed):
+
+    g: int
+    kernel_rows: tuple[Vec, ...]
+    gram_kernel_rows: tuple[Vec, ...]
+    p_matrix: tuple[Vec, ...]
+    x_unit: Vec
+    gram_x_unit: Vec
+    b_unit: Vec
+    c_unit: int
+    div_table: tuple[tuple[int, tuple[int, ...]], ...]
+
+
+def _dot(u, w) -> int:
+    return sum(map(mul, u, w))
+
+
+def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFrame:
+    g, x_unit, kernel = _ample_frame(lattice, ample)
+    gram_kernel = [gram_vec(lattice, u) for u in kernel]
+    gram_x_unit = gram_vec(lattice, x_unit)
+    n = lattice.rank
+    return _ShellFrame(
+        g=g,
+        kernel_rows=tuple(tuple(u[r] for u in kernel) for r in range(n)),
+        gram_kernel_rows=tuple(tuple(gu[r] for gu in gram_kernel) for r in range(n)),
+        p_matrix=tuple(tuple(-_dot(u, gw) for gw in gram_kernel) for u in kernel),
+        x_unit=x_unit,
+        gram_x_unit=gram_x_unit,
+        b_unit=tuple(_dot(u, gram_x_unit) for u in kernel),
+        c_unit=_dot(x_unit, gram_x_unit),
+        div_table=tuple(sorted(_profile_div_table(t).items())),
+    )
+
+
+def _profile_classes(frame: _ShellFrame, m: int):
+    """Profile-matching primitive classes of pairing level m, in shell order.
+
+    The classes are v = m x_unit + K z. By bilinearity the level-m translate
+    x_p = m x_unit has G x_p = m G x_unit, b = K^T G x_p = m b_unit and
+    norm(x_p) = m^2 c_unit exactly, and norm(v) = norm(x_p) + 2 b.z - z^T p z,
+    so norm = square is the shell equation z^T p z - 2 b.z = norm(x_p) - square.
+    Squares are visited in ascending order. For a shell point z, each
+    coordinate of v and of G v = G x_p + (G K) z is one dot product with z.
+    gcd(v) is tested first: a non-primitive v is dropped whatever its
+    divisibility, so G v, whose gcd is the divisibility, is built only for
+    primitive v.
+    """
+    x_p = [m * x for x in frame.x_unit]
+    gram_x_p = [m * x for x in frame.gram_x_unit]
+    b = [m * x for x in frame.b_unit]
+    c0 = m * m * frame.c_unit
+    v_rows = list(zip(x_p, frame.kernel_rows))
+    gram_v_rows = list(zip(gram_x_p, frame.gram_kernel_rows))
+    for square, allowed in frame.div_table:
+        for z in _shell_points(frame.p_matrix, b, c0 - square):
+            v = tuple([x + sum(map(mul, z, row)) for x, row in v_rows])
+            if math.gcd(*v) != 1:
+                continue
+            div = math.gcd(*[x + sum(map(mul, z, row)) for x, row in gram_v_rows])
+            if _div_matches(div, allowed):
                 yield v
 
 
@@ -296,17 +348,17 @@ def enumerate_exceptional(
     form is negative definite, so the profile equation norm(v) = square cuts
     out the shell of an ellipsoid. `_shell_points` lists exactly its integer
     points by fraction-free integer elimination; no point inside the shell
-    is visited. Output is sorted lexicographically; canonical sign (positive
+    is visited. The integer data of the split (`_ShellFrame`) is built once,
+    and each level m = p // g scales it, so a shell point costs a few dot
+    products. Output is sorted lexicographically; canonical sign (positive
     ample-pairing) is automatic.
     """
     bound = bound or EnumerationBound()
     _check_analysis_input(lattice, ample)
-    g, x_unit, kernel = _ample_frame(lattice, ample)
-    p_matrix = _complement_form(lattice, kernel)
+    frame = _shell_frame(lattice, t, ample)
     found: list[Vec] = []
-    for p in range(g, bound.max_ample_pairing + 1, g):
-        x_p = tuple(p // g * x for x in x_unit)
-        found.extend(_profile_classes(lattice, t, x_p, kernel, p_matrix))
+    for p in range(frame.g, bound.max_ample_pairing + 1, frame.g):
+        found.extend(_profile_classes(frame, p // frame.g))
     return tuple(sorted(set(found)))
 
 
@@ -315,13 +367,10 @@ def _ample_wall_witness(
 ) -> Optional[Vec]:
     """A profile-matching class orthogonal to the ample class, if one exists.
 
-    The first class in shell order is returned; reports print it, so the
-    order of `_shell_points` is part of the output.
+    The first class in shell order at level m = 0 is returned; reports
+    print it, so the order of `_shell_points` is part of the output.
     """
-    _, _, kernel = _ample_frame(lattice, ample)
-    p_matrix = _complement_form(lattice, kernel)
-    origin = (0,) * lattice.rank
-    return next(_profile_classes(lattice, t, origin, kernel, p_matrix), None)
+    return next(_profile_classes(_shell_frame(lattice, t, ample), 0), None)
 
 
 # ---------------------------------------------------------------------------

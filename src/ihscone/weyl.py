@@ -10,6 +10,7 @@ generators, which root hyperplanes actually support facets of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 from .errors import (
@@ -29,26 +30,33 @@ class Reflection:
     @staticmethod
     def of(L: Lattice, root: Sequence[int]) -> "Reflection":
         r = L.check_vector(root)
-        q = norm(L, r)
-        if q == 0:
-            raise PreconditionError("reflection root must not be isotropic")
-        if q > 0:
-            raise PreconditionError("reflection root must have negative norm, got %d" % q)
-        return Reflection(r, q)
+        return Reflection(r, _checked_root_norm(norm(L, r)))
+
+
+def _checked_root_norm(q: int) -> int:
+    if q == 0:
+        raise PreconditionError("reflection root must not be isotropic")
+    if q > 0:
+        raise PreconditionError("reflection root must have negative norm, got %d" % q)
+    return q
 
 
 def reflect(L: Lattice, root: Sequence[int], v: Sequence[int]) -> Vec:
     """v - (2*pairing(root, v)/norm(root)) * root, checked integral."""
     ref = Reflection.of(L, root)
     w = L.check_vector(v)
-    num = 2 * pairing(L, ref.root, w)
-    if num % ref.root_norm != 0:
-        raise NonIntegralReflectionError(
-            "2*pairing(root, v) = %d is not divisible by norm(root) = %d"
-            % (num, ref.root_norm)
-        )
-    c = num // ref.root_norm
+    c = _reflection_coefficient(2 * pairing(L, ref.root, w), ref.root_norm)
     return tuple(w[i] - c * ref.root[i] for i in range(L.rank))
+
+
+def _reflection_coefficient(num: int, root_norm: int) -> int:
+    """num / root_norm for num = 2*pairing(root, v), checked integral."""
+    c, off = divmod(num, root_norm)
+    if off:
+        raise NonIntegralReflectionError(
+            "2*pairing(root, v) = %d is not divisible by norm(root) = %d" % (num, root_norm)
+        )
+    return c
 
 
 def reflection_is_integral(L: Lattice, t, root: Sequence[int]) -> bool:
@@ -78,11 +86,23 @@ def weyl_reduce(
     Pivot rule: the root of most negative pairing, ties broken by lowest
     index.  The recorded word, applied right-to-left to the
     representative, reconstructs the input.
+
+    gram_vec(r) and norm(r) are computed once per root: they decide the
+    integrality precondition (norm(r) divides every entry of 2 gram_vec(r),
+    the test of `reflection_is_integral`), every step's pairings are dot
+    products of gram_vec(r) with the current vector, and the reflection
+    reuses the pivot's pairing and norm, as `reflect` would compute them.
     """
     rs = [L.check_vector(r) for r in roots]
+    gram_rs: list[Vec] = []
+    norms: list[int] = []
     for i, r in enumerate(rs):
-        if not reflection_is_integral(L, None, r):
+        gr = gram_vec(L, r)
+        q = _checked_root_norm(sum(map(mul, r, gr)))
+        if any(2 * x % q for x in gr):
             raise PreconditionError("root %d does not define an integral reflection" % i)
+        gram_rs.append(gr)
+        norms.append(q)
     cur = L.check_vector(v)
     if norm(L, cur) < 0:
         raise PreconditionError(
@@ -94,8 +114,8 @@ def weyl_reduce(
     while True:
         worst = None
         worst_val = 0
-        for i, r in enumerate(rs):
-            p = pairing(L, r, cur)
+        for i, gr in enumerate(gram_rs):
+            p = sum(map(mul, gr, cur))
             if p < worst_val:
                 worst, worst_val = i, p
         if worst is None:
@@ -104,8 +124,10 @@ def weyl_reduce(
             raise BoundExceededError(
                 "chamber reduction did not terminate within %d steps" % max_steps
             )
-        cur = reflect(L, rs[worst], cur)
-        word.append(rs[worst])
+        r = rs[worst]
+        c = _reflection_coefficient(2 * worst_val, norms[worst])
+        cur = tuple(x - c * y for x, y in zip(cur, r))
+        word.append(r)
         steps += 1
 
 

@@ -13,8 +13,10 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
-from ihscone.lattice import gram_vec
+from ihscone.engine import _ample_frame, _shell_points
+from ihscone.lattice import divisibility, gram_vec, is_primitive, pairing
 from ihscone.polyhedra import fm_satisfiable, invert_matrix
+from ihscone.weyl import reflect
 
 
 def rand_unimodular(rng: random.Random, n: int, ops: int | None = None) -> list[list[int]]:
@@ -174,6 +176,71 @@ def box_oracle(lat: Lattice, dtype, bound_b: int) -> tuple[tuple[int, ...], ...]
     for v0 in range(1, bound_b // g0 + 1):
         rec(1, [v0], g0 * v0 * v0 - lo)
     return tuple(sorted(found))
+
+
+def reference_profile_levels(lat: Lattice, dtype, ample, bound_b: int):
+    """Classes of each ample-pairing level, rebuilt class by class.
+
+    The per-class method the frame-based enumeration replaced: for level
+    m = p // g (m = 0 first, then every pairing p = g, 2g, ... <= B) the
+    translate m*x_unit, its pairings with the kernel and its norm come from
+    `pairing` and `norm`, and every shell point is assembled coordinate by
+    coordinate and kept when `is_primitive` holds and its `divisibility`
+    is a multiple of an allowed profile divisor. It reuses the engine's
+    split and shell lister, so it checks the class assembly only. Returns
+    {m: [classes in shell order]}.
+    """
+    g, x_unit, kernel = _ample_frame(lat, ample)
+    p_matrix = [[-pairing(lat, u, w) for w in kernel] for u in kernel]
+    table = {}
+    for prof in profiles(dtype):
+        table.setdefault(prof.square, set()).add(prof.div)
+    levels = {}
+    for m in range(bound_b // g + 1):
+        x_p = tuple(m * x for x in x_unit)
+        b = [pairing(lat, x_p, u) for u in kernel]
+        c0 = norm(lat, x_p)
+        found = []
+        for square in sorted(table):
+            for z in _shell_points(p_matrix, b, c0 - square):
+                v = tuple(
+                    x + sum(zi * u[r] for zi, u in zip(z, kernel))
+                    for r, x in enumerate(x_p)
+                )
+                if is_primitive(lat, v) and any(
+                    divisibility(lat, v) % d == 0 for d in table[square]
+                ):
+                    found.append(v)
+        levels[m] = found
+    return levels
+
+
+def reference_weyl_reduce(lat: Lattice, roots, v):
+    """(representative, word, steps) of chamber reduction by `reflect`.
+
+    The pivot is the root of most negative `pairing` with the current
+    vector, lowest index first.
+    """
+    cur = tuple(v)
+    word = []
+    while True:
+        vals = [pairing(lat, r, cur) for r in roots]
+        worst = min(range(len(roots)), key=lambda i: (vals[i], i), default=None)
+        if worst is None or vals[worst] >= 0:
+            return cur, tuple(word), len(word)
+        cur = reflect(lat, roots[worst], cur)
+        word.append(tuple(roots[worst]))
+
+
+def near_boundary_vector(rng: random.Random, diag, span: int):
+    """A vector of small nonnegative norm on diag(diag) whose tail
+    coordinates lie in [-span, span], so that chamber reduction takes steps."""
+    tail = [rng.randint(-span, span) for _ in diag[1:]]
+    deficit = -sum(d * y * y for d, y in zip(diag[1:], tail))
+    x0 = max(1, isqrt(-(-deficit // diag[0])))
+    while diag[0] * x0 * x0 < deficit:
+        x0 += 1
+    return (x0, *tail)
 
 
 # ------------------------------------------------------------ cone oracles

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from ihscone.cli import main, parse_input, run_pell
-from ihscone.errors import InputFormatError
+from ihscone.cli import _stringify, main, parse_input, run_pell
+from ihscone.errors import BoundExceededError, InputFormatError
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "report-v1.schema.json"
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
@@ -340,20 +340,58 @@ def test_exit_4_on_integer_over_digit_limit(tmp_path, capsys):
     assert str(_DIGIT_LIMIT) in e["message"] and "PYTHONINTMAXSTRDIGITS" in e["message"]
 
 
+def _cli_process(subcommand, path):
+    """Run the CLI in a fresh interpreter with the current digit limit."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(_DIGIT_LIMIT))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "ihscone.cli", subcommand, "--input", str(path)],
+        capture_output=True, text=True, env=env,
+    )
+
+
 @needs_digit_limit
 def test_digit_limit_prints_no_traceback(tmp_path):
     path = tmp_path / "pell.json"
     path.write_text(json.dumps({"n": 6615019}))
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(_DIGIT_LIMIT))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ihscone.cli", "pell", "--input", str(path)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _cli_process("pell", path)
     assert proc.returncode == 4 and proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert _error_doc(proc.stderr)["kind"] == "BoundExceededError"
+
+
+@needs_digit_limit
+def test_stringify_digit_limit_in_nested_list():
+    # plain ints in a list skip the recursive call; one over the limit
+    # deep inside a list must still end in BoundExceededError
+    big = 10 ** 4310
+    report = {"a": [[1, True], (2, [-3, None])]}
+    assert _stringify(report) == {"a": [["1", True], ["2", ["-3", None]]]}
+    with pytest.raises(BoundExceededError, match=f"{big.bit_length()}-bit") as info:
+        _stringify({"a": [[1, 2], [3, [4, big]]]})
+    assert str(_DIGIT_LIMIT) in str(info.value)
+
+
+_OVER_LIMIT = "1" + "0" * 4999
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("subcommand, text", [
+    ("pell", '{"n": %s}' % _OVER_LIMIT),
+    ("pell", '{"n": "%s"}' % _OVER_LIMIT),
+    ("enumerate", '{"gram": [[1%s, 0], [0, -2]], "type": "K3", "ample": [1, 0]}' % ("0" * 4400)),
+    ("enumerate", '{"gram": [["1%s", 0], [0, -2]], "type": "K3", "ample": [1, 0]}' % ("0" * 4400)),
+], ids=["pell-literal", "pell-string", "gram-literal", "gram-string"])
+def test_exit_2_on_input_integer_over_digit_limit(tmp_path, subcommand, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    proc = _cli_process(subcommand, path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    e = _error_doc(proc.stderr)
+    assert e["kind"] == "InputFormatError"
+    assert str(_DIGIT_LIMIT) in e["message"] and "PYTHONINTMAXSTRDIGITS" in e["message"]
 
 
 def test_exit_5_on_contract_violation(tmp_path, capsys):

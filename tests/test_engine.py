@@ -9,6 +9,9 @@ import pytest
 from ihscone.catalog import is_numerically_exceptional, parse_type, profiles
 from ihscone.engine import (
     EnumerationBound,
+    _ample_wall_witness,
+    _profile_classes,
+    _shell_frame,
     _shell_points,
     analyze,
     classify_rank2,
@@ -22,7 +25,12 @@ from ihscone.errors import (
     SignatureError,
 )
 from ihscone.lattice import Lattice, det_int, pairing
-from tests.helpers import box_oracle, fm_is_wall, transported
+from tests.helpers import (
+    box_oracle,
+    fm_is_wall,
+    reference_profile_levels,
+    transported,
+)
 
 K3 = parse_type("K3")
 K3_RANK3 = Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
@@ -340,3 +348,41 @@ def test_shell_points_edge_cases():
     assert _shell_points([], [], 3) == []
     with pytest.raises(ContractViolationError):
         _shell_points([[1, 2], [2, 1]], [0, 0], 1)
+
+
+def test_enumerate_matches_per_class_reference():
+    # the frame scales one split to every pairing level; rebuilding each
+    # class with pairing/norm/is_primitive/divisibility must give the same
+    # classes in the same order, witness included
+    rng = random.Random(2718)
+    types = [K3, parse_type("K3[n]", 2), parse_type("K3[n]", 3), parse_type("Kum[n]", 2),
+             parse_type("OG6"), parse_type("OG10")]
+    classes = levels_above_one = witnesses = 0
+    for _ in range(60):
+        rank = rng.randint(2, 7)
+        diag = [rng.choice((1, 2, 4))] + [-rng.choice((1, 2, 2, 4, 6)) for _ in range(rank - 1)]
+        base = Lattice(tuple(
+            tuple(diag[i] if i == j else 0 for j in range(rank)) for i in range(rank)
+        ))
+        while True:
+            ample0 = (rng.randint(1, 3),) + tuple(rng.randint(-1, 1) for _ in range(rank - 1))
+            if pairing(base, ample0, ample0) > 0:
+                break
+        scale = rng.choice((1, 1, 2))
+        ample0 = tuple(scale * x for x in ample0)
+        lat, (ample,) = transported(rng, base, [ample0])
+        t = rng.choice(types)
+        frame = _shell_frame(lat, t, ample)
+        bnd = frame.g * rng.randint(1, 3) + rng.randint(0, 4 if rank <= 5 else 1)
+        expected = reference_profile_levels(lat, t, ample, bnd)
+        assert sorted(expected) == list(range(bnd // frame.g + 1))
+        for m, found in expected.items():
+            assert list(_profile_classes(frame, m)) == found
+        witness = _ample_wall_witness(lat, t, ample)
+        assert witness == next(iter(expected[0]), None)
+        witnesses += witness is not None
+        got = enumerate_exceptional(lat, t, ample, EnumerationBound(max_ample_pairing=bnd))
+        assert got == tuple(sorted(set(v for m in expected if m for v in expected[m])))
+        classes += len(got)
+        levels_above_one += frame.g > 1 and len(expected) > 2
+    assert classes > 800 and levels_above_one >= 15 and witnesses >= 15

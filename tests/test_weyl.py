@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ihscone.catalog import parse_type, profiles
+from ihscone.engine import EnumerationBound, enumerate_exceptional
 from ihscone.errors import (
     BoundExceededError,
     NonIntegralReflectionError,
@@ -20,9 +21,11 @@ from ihscone.weyl import (
 )
 from tests.helpers import (
     fm_is_wall,
+    near_boundary_vector,
     rand_diag_gram,
     rand_primitive,
     rand_profile_root,
+    reference_weyl_reduce,
     transported,
 )
 
@@ -158,6 +161,31 @@ def test_weyl_reduce_randomized_properties():
         assert back == v
 
 
+def test_weyl_reduce_matches_reflect_reference():
+    # the same representative, word and step count as reflecting with
+    # reflect() and pivoting on pairing(), with the enumerated roots of
+    # rank 6-8 lattices and vectors near the boundary of the positive cone
+    rng = random.Random(4242)
+    types = [parse_type("K3"), parse_type("K3[n]", 3), parse_type("OG6")]
+    total_steps = 0
+    for _ in range(30):
+        rank = rng.randint(6, 8)
+        diag = [2] + [-rng.choice((2, 2, 4)) for _ in range(rank - 1)]
+        base = Lattice(tuple(
+            tuple(diag[i] if i == j else 0 for j in range(rank)) for i in range(rank)
+        ))
+        ample0 = (1,) + (0,) * (rank - 1)
+        v0 = near_boundary_vector(rng, diag, 6)
+        lat, (ample, v) = transported(rng, base, [ample0, v0])
+        roots = enumerate_exceptional(
+            lat, rng.choice(types), ample, EnumerationBound(max_ample_pairing=3)
+        )
+        red = weyl_reduce(lat, roots, v)
+        assert (red.representative, red.word, red.steps) == reference_weyl_reduce(lat, roots, v)
+        total_steps += red.steps
+    assert total_steps >= 40
+
+
 def test_weyl_reduce_rejects_negative_norm():
     with pytest.raises(PreconditionError):
         weyl_reduce(DENSE, DENSE_ROOTS, (0, 1))
@@ -167,6 +195,11 @@ def test_weyl_reduce_rejects_non_integral_root():
     skew = Lattice(((-4, 1), (1, 2)))
     with pytest.raises(PreconditionError):
         weyl_reduce(skew, ((1, 0),), (0, 1))
+    # roots that define no reflection at all are rejected the same way
+    with pytest.raises(PreconditionError, match="isotropic"):
+        weyl_reduce(Lattice(((2, 1), (1, 0))), ((0, 1),), (1, 0))
+    with pytest.raises(PreconditionError, match="negative norm"):
+        weyl_reduce(DIAG, ((0, 1), (1, 0)), (1, 0))
 
 
 def test_weyl_reduce_step_cap():
