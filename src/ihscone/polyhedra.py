@@ -1,11 +1,12 @@
 """Exact polyhedral-cone routines at small rank: double description,
-rref/kernel, ray canonicalization, and Fourier-Motzkin feasibility.
+rref, ray canonicalization, and Fourier-Motzkin feasibility.
 
 dd_generators is the library's one polyhedral engine; it runs over the
-integers.  fm_satisfiable is kept as the independent oracle the tests
-check wall detection against; no library code calls it.  Nothing here
-knows about lattices or bilinear forms.  Intended scale is rank <= 8
-with up to a few hundred constraints.
+integers, and `engine.analyze` calls it once per polyhedral analysis.
+fm_satisfiable is kept as the independent oracle the tests check wall
+detection against; no library code calls it.  Nothing here knows about
+lattices or bilinear forms.  Intended scale is rank <= 8 with up to a
+few hundred constraints.
 """
 
 from __future__ import annotations
@@ -95,13 +96,9 @@ def rref(rows: Sequence[Sequence[Fraction]]):
     return m[:r], pivots
 
 
-def kernel_basis(rows: Sequence[Sequence[Fraction]], n: int) -> list[FrVec]:
-    """Basis of {x in Q^n : row . x = 0 for every row}."""
-    return _kernel_from_rref(*rref(rows), n)
-
-
 def _kernel_from_rref(red, pivots, n: int) -> list[FrVec]:
-    """kernel_basis from an rref result (red, pivots) of the rows."""
+    """Basis of {x in Q^n : row . x = 0 for every row}, from an rref
+    result (red, pivots) of the rows."""
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for f in free:
@@ -200,7 +197,3 @@ def invert_matrix(m):
     if piv != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
-
-
-def same_ray_set(a: Iterable[Sequence[int]], b: Iterable[Sequence[int]]) -> bool:
-    return sorted(canonical_ray(v) for v in a) == sorted(canonical_ray(v) for v in b)

@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch against the
 definitions, not by calling back into the code under test, so the test
 suite has a second opinion on the hard parts (Pell solving, bounded
-class enumeration, chamber walls).
+class enumeration, chamber walls). The Eff/Mov duality round trip is the
+exception: it runs the library's double description twice, as an oracle
+for the duality that `engine.analyze` proves.
 """
 from __future__ import annotations
 
@@ -15,7 +17,14 @@ from math import gcd, isqrt, lcm
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
 from ihscone.engine import _ample_frame, _shell_points
 from ihscone.lattice import divisibility, gram_vec, is_primitive, pairing
-from ihscone.polyhedra import fm_satisfiable, invert_matrix
+from ihscone.polyhedra import (
+    _kernel_from_rref,
+    canonical_ray,
+    dd_generators,
+    fm_satisfiable,
+    invert_matrix,
+    rref,
+)
 from ihscone.weyl import reflect
 
 
@@ -305,6 +314,39 @@ def brute_force_extreme_rays(rows, n):
             found.add(_primitive([-v for v in vals]))
     return found
 
+
+
+def kernel_basis(rows, n: int):
+    """Basis of {x in Q^n : row . x = 0 for every row}."""
+    return _kernel_from_rref(*rref(rows), n)
+
+
+def same_ray_set(a, b) -> bool:
+    return sorted(canonical_ray(v) for v in a) == sorted(canonical_ray(v) for v in b)
+
+
+def duality_round_trip(lat: Lattice, walls) -> bool:
+    """Check Eff/Mov duality on the walls by two double-description passes.
+
+    The movable candidate's linear part is C' = {x : pairing(x, w) >= 0 for
+    each wall w}. Its generators must pair nonnegatively with every wall,
+    and its dual under the pairing must be pointed and generated by the
+    walls again. `engine.analyze` proves this instead of computing it.
+    """
+    n = lat.rank
+    lineality, generators = dd_generators([gram_vec(lat, w) for w in walls], n)
+    for w in walls:
+        if any(pairing(lat, w, gen) < 0 for gen in generators):
+            return False
+        if any(pairing(lat, w, lin) != 0 for lin in lineality):
+            return False
+    dual_rows = [gram_vec(lat, gen) for gen in generators]
+    for lin in lineality:
+        row = gram_vec(lat, lin)
+        dual_rows.append(row)
+        dual_rows.append(tuple(-x for x in row))
+    lin2, rays2 = dd_generators(dual_rows, n)
+    return not lin2 and same_ray_set(rays2, walls)
 
 
 def fm_is_wall(lat: Lattice, roots, candidate, ample) -> bool:

@@ -237,6 +237,38 @@ def test_pell_input_validation():
         run_pell(json.dumps({}))
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"n": 5, "index_cap": "abc"},
+        {"n": 5, "index_cap": 8},
+        {"n": 3, "modulus": 5, "residue": 3, "index_cap": 0},
+        {"n": 3, "modulus": 5, "residue": 3, "index_cap": -3},
+        {"n": 3, "modulus": 5, "residue": 3, "index_cap": "abc"},
+    ],
+)
+def test_pell_index_cap_validation(tmp_path, capsys, doc):
+    path = tmp_path / "pell.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run(capsys, ["pell", "--input", str(path)])
+    assert code == 2 and out == ""
+    e = _error_doc(err)
+    assert e["kind"] == "InputFormatError" and "index_cap" in e["message"]
+
+
+def test_pell_null_index_cap_is_absent(tmp_path, capsys):
+    for doc_in, echo in (
+        ({"n": 5, "index_cap": None}, {"n": "5"}),
+        ({"n": 3, "modulus": 4, "residue": 1, "index_cap": None},
+         {"n": "3", "modulus": "4", "residue": "1", "index_cap": "64"}),
+    ):
+        path = tmp_path / "pell.json"
+        path.write_text(json.dumps(doc_in))
+        code, out, _ = _run(capsys, ["pell", "--input", str(path)])
+        assert code == 0
+        assert _check_schema(out)["input"] == echo
+
+
 def test_rank2_end_to_end(tmp_path, capsys):
     doc_in = {"gram": [[4, 0], [0, -4]], "type": "OG10", "ample": [1, 0]}
     code, out, _ = _run(capsys, ["rank2", "--input", _write(tmp_path, doc_in)])

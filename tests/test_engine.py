@@ -24,9 +24,12 @@ from ihscone.errors import (
     PreconditionError,
     SignatureError,
 )
-from ihscone.lattice import Lattice, det_int, pairing
+from ihscone.lattice import Lattice, det_int, gram_vec, norm, pairing
+from ihscone.polyhedra import dd_generators
+from ihscone.weyl import is_chamber_wall
 from tests.helpers import (
     box_oracle,
+    duality_round_trip,
     fm_is_wall,
     reference_profile_levels,
     transported,
@@ -136,7 +139,7 @@ def test_analyze_polyhedral_rank3_frozen():
     assert res.extremal_rays == res.chamber_walls
     assert res.mov_candidate.wall_inequalities == res.chamber_walls
     assert res.mov_candidate.includes_positive_cone
-    assert res.duality_checked
+    assert duality_round_trip(K3_RANK3, res.chamber_walls)
     assert res.rank2 is None
     assert res.finiteness.eff_rational_polyhedral_up_to_bound
     assert res.finiteness.equivalence_applicable
@@ -151,7 +154,7 @@ def test_analyze_polyhedral_rank2_frozen():
     assert res.verdict == "PolyhedralCandidate"
     assert res.exceptional_found == ((0, 1), (1, -1), (1, 2), (3, -2))
     assert res.chamber_walls == ((0, 1), (1, -1))
-    assert res.duality_checked
+    assert duality_round_trip(DENSE, res.chamber_walls)
     assert res.notes == ()
     r2 = res.rank2
     assert r2.ray1.rational and r2.ray1.vector == (1, -1)
@@ -231,6 +234,20 @@ def test_analyze_wall_test_rank_cap():
                 EnumerationBound(max_ample_pairing=4, wall_test_limit=2))
 
 
+def _profile_block_lattice(rng, t, p, rank):
+    """A rank-`rank` lattice in which e1 has norm p.square and pairs p.div
+    with e0, e0 has positive norm, and the other basis vectors are
+    orthogonal with norms from -2, -4 and the profile squares of t."""
+    negs = sorted({-q.square for q in profiles(t)} | {2, 4})
+    gram = [[0] * rank for _ in range(rank)]
+    gram[0][0] = 2 * rng.randint(1, 3)
+    gram[0][1] = gram[1][0] = p.div
+    gram[1][1] = p.square
+    for i in range(2, rank):
+        gram[i][i] = -rng.choice(negs)
+    return Lattice(tuple(tuple(row) for row in gram))
+
+
 def test_analyze_walls_match_fm_oracle():
     # seeded rank 3-5 corpus over all five types: the double-description
     # facet test and the Fourier-Motzkin strict system pick the same walls.
@@ -245,14 +262,7 @@ def test_analyze_walls_match_fm_oracle():
         t = rng.choice(types)
         p = rng.choice(profiles(t))
         rank = rng.randint(3, 5)
-        negs = sorted({-q.square for q in profiles(t)} | {2, 4})
-        gram = [[0] * rank for _ in range(rank)]
-        gram[0][0] = 2 * rng.randint(1, 3)
-        gram[0][1] = gram[1][0] = p.div
-        gram[1][1] = p.square
-        for i in range(2, rank):
-            gram[i][i] = -rng.choice(negs)
-        base = Lattice(tuple(tuple(row) for row in gram))
+        base = _profile_block_lattice(rng, t, p, rank)
         lat, (ample,) = transported(rng, base, [(1,) + (0,) * (rank - 1)])
         # Fourier-Motzkin cost explodes with rank and class count
         bound = rng.randint(p.div, max(p.div, {3: 8, 4: 5, 5: 3}[rank]))
@@ -284,9 +294,45 @@ def test_duality_checked_across_small_sample():
     for _ in range(8):
         lat, vecs = transported(rng, K3_RANK3, [AMPLE3])
         res = analyze(lat, K3, vecs[0], B4)
-        assert res.duality_checked
+        assert duality_round_trip(lat, res.chamber_walls)
         assert res.verdict == "PolyhedralCandidate"
         assert len(res.chamber_walls) == 4
+
+
+def test_duality_oracle_holds_on_seeded_corpus():
+    # rank 3-5 lattices in sheared bases over six types, each with a class
+    # of a profile of its type, and a random ample class near e0. The corpus must reach the case where the ample inequality is
+    # itself a facet of the chamber C, so that C is strictly smaller than
+    # the wall cone C' whose dual the oracle computes, and circular verdicts.
+    rng = random.Random(11)
+    types = [K3, parse_type("K3[n]", 2), parse_type("K3[n]", 3), parse_type("Kum[n]", 2),
+             parse_type("OG6"), parse_type("OG10")]
+    seen_types = set()
+    analyses = ample_facets = circular = 0
+    while analyses < 80:
+        t = rng.choice(types)
+        p = rng.choice(profiles(t))
+        rank = rng.randint(3, 5)
+        base = _profile_block_lattice(rng, t, p, rank)
+        ample0 = (rng.randint(1, 3),) + tuple(rng.randint(-1, 1) for _ in range(rank - 1))
+        if norm(base, ample0) <= 0 or math.gcd(*ample0) != 1:
+            continue
+        lat, (ample,) = transported(rng, base, [ample0])
+        bound = rng.randint(2, {3: 8, 4: 6, 5: 4}[rank])
+        res = analyze(lat, t, ample, EnumerationBound(max_ample_pairing=bound))
+        assert duality_round_trip(lat, res.chamber_walls)
+        if res.exceptional_found:
+            rows = [gram_vec(lat, c) for c in res.exceptional_found + (ample,)]
+            lineality, rays = dd_generators(rows, rank)
+            ample_facets += is_chamber_wall(lat, ample, lineality, rays)
+        else:
+            assert res.verdict == "CircularUpToBound"
+            circular += 1
+        seen_types.add(t)
+        analyses += 1
+    assert len(seen_types) == 6
+    assert ample_facets >= 10
+    assert circular >= 5
 
 
 def _random_positive_definite(rng, k):

@@ -6,15 +6,13 @@ from math import gcd
 
 import pytest
 
-from tests.helpers import brute_force_extreme_rays
+from tests.helpers import brute_force_extreme_rays, kernel_basis, same_ray_set
 from ihscone.polyhedra import (
     canonical_ray,
     dd_generators,
     fm_satisfiable,
     invert_matrix,
-    kernel_basis,
     rref,
-    same_ray_set,
 )
 
 F = Fraction
