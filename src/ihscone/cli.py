@@ -477,40 +477,43 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _report_text(args: argparse.Namespace, text: str) -> str:
+    """The rendered report (or SVG) of one subcommand on one input text."""
+    if args.subcommand == "pell":
+        return _render_json(run_pell(text), args.format)
+    spec = parse_input(text)
+    if getattr(args, "bound", None) is not None:
+        try:
+            spec = replace(spec, bound=replace(spec.bound, max_ample_pairing=args.bound))
+        except PreconditionError as exc:
+            raise InputFormatError(f"--bound: {exc}") from exc
+    if args.subcommand == "plot-section":
+        return run_plot_section(spec)
+    if args.subcommand == "analyze":
+        report = run_analyze(spec)
+    elif args.subcommand == "enumerate":
+        report = run_enumerate(spec)
+    elif args.subcommand == "reduce":
+        if args.max_steps < 0:
+            raise InputFormatError(f"--max-steps must be nonnegative, got {args.max_steps}")
+        report = run_reduce(spec, args.max_steps)
+    elif args.subcommand == "alpha":
+        report = run_alpha(spec)
+    else:
+        report = run_rank2(spec)
+    return _render_json(report, args.format)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return 2
     try:
-        if args.subcommand == "pell":
-            report = run_pell(text)
-            _emit(_render_json(report, args.format), args.output)
-            return 0
-        spec = parse_input(text)
-        if getattr(args, "bound", None) is not None:
-            try:
-                spec = replace(spec, bound=replace(spec.bound, max_ample_pairing=args.bound))
-            except PreconditionError as exc:
-                raise InputFormatError(f"--bound: {exc}") from exc
-        if args.subcommand == "plot-section":
-            _emit(run_plot_section(spec), args.output)
-            return 0
-        if args.subcommand == "analyze":
-            report = run_analyze(spec)
-        elif args.subcommand == "enumerate":
-            report = run_enumerate(spec)
-        elif args.subcommand == "reduce":
-            report = run_reduce(spec, args.max_steps)
-        elif args.subcommand == "alpha":
-            report = run_alpha(spec)
-        else:
-            report = run_rank2(spec)
-        _emit(_render_json(report, args.format), args.output)
-        return 0
+        out = _report_text(args, text)
     except InputFormatError as exc:
         _fail(exc)
         return 2
@@ -526,6 +529,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except IHSConeError as exc:
         _fail(exc)
         return 1
+    try:
+        _emit(out, args.output)
+    except OSError as exc:
+        sys.stderr.write(f"cannot write output: {exc}\n")
+        return 2
+    return 0
 
 
 def _fail(exc: Exception) -> None:

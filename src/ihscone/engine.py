@@ -7,23 +7,27 @@ names that truncation.
 
 Classes of a profile with a fixed ample pairing lie on the shell of an
 ellipsoid; `_shell_points` lists its integer points by fraction-free integer
-elimination, so the search uses integers only (`Fraction` appears only in the
-rank-2 surd arithmetic). Its output order is fixed because the ample-wall
-witness printed in reports is the first class it meets. The integer data a
-shell point needs to become a class (kernel and Gram-times-kernel rows, the
-pairing-g translate, the profile table) is built once per lattice in a
-`_ShellFrame`, so each point costs a few dot products and two gcds.
+elimination, so the search uses integers only. Its output order is fixed
+because the ample-wall witness printed in reports is the first class it
+meets. The integer data a shell point needs to become a class (kernel and
+Gram-times-kernel rows, the pairing-g translate, the profile table) is
+built once per lattice in a `_ShellFrame`, so each point costs a few dot
+products and two gcds.
 
 Chamber walls come from one double-description pass over the found
 classes and the ample class. The `analyze` docstring proves that those
 walls are already the extremal rays of the pseudo-effective candidate,
 dual to the movable half-spaces, so no second pass checks it.
+
+At rank 2 the two boundary rays come from splitting the classes by the
+side of the ample class they lie on: each ray is the outermost class on
+its side, or that side's isotropic ray when the side has none. Signs of
+a + b*sqrt(delta) decide the irrational isotropic rays, in integers.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
@@ -377,105 +381,29 @@ def _ample_wall_witness(
 
 
 # ---------------------------------------------------------------------------
-# rank-2 boundary rays, exact surd arithmetic
+# rank-2 boundary rays, integer side split
 
 
-@dataclass(frozen=True)
-class _Surd:
-    """a + b*sqrt(delta) with rational a, b; delta a fixed positive integer."""
-
-    a: Fraction
-    b: Fraction
-    delta: int
-
-    def __add__(self, other: "_Surd") -> "_Surd":
-        return _Surd(self.a + other.a, self.b + other.b, self.delta)
-
-    def __sub__(self, other: "_Surd") -> "_Surd":
-        return _Surd(self.a - other.a, self.b - other.b, self.delta)
-
-    def __mul__(self, other: "_Surd") -> "_Surd":
-        return _Surd(
-            self.a * other.a + self.b * other.b * self.delta,
-            self.a * other.b + self.b * other.a,
-            self.delta,
-        )
-
-    def __neg__(self) -> "_Surd":
-        return _Surd(-self.a, -self.b, self.delta)
-
-    def sign(self) -> int:
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return (b > 0) - (b < 0)
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        lhs, rhs = a * a, b * b * self.delta
-        if a > 0:
-            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
-        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
-
-
-def _cross(u, v) -> "_Surd":
+def _cross(u, v) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _rank2_candidates(lattice: Lattice, ample: Vec, classes: Sequence[Vec]):
-    """Oriented ray candidates: the two isotropic rays plus every class."""
-    gm = lattice.gram
-    a, h, c = gm[0][0], gm[0][1], gm[1][1]
-    delta = h * h - a * c
-    if delta <= 0:
-        raise ContractViolationError("hyperbolic plane must have positive discriminant")
-    ga = gram_vec(lattice, ample)
-    candidates = []
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
-    def rational_entry(vec: Vec):
-        if sum(gi * vi for gi, vi in zip(ga, vec)) < 0:
-            vec = tuple(-x for x in vec)
-        pair = (
-            _Surd(Fraction(vec[0]), Fraction(0), delta),
-            _Surd(Fraction(vec[1]), Fraction(0), delta),
-        )
-        return pair, RayDescriptor(rational=True, vector=canonical_ray(vec))
 
-    root = is_perfect_square(delta)
-    if root is not None:
-        dirs = [(-h + root, a), (-h - root, a)] if a != 0 else [(1, 0), (-c, 2 * h)]
-        iso = {canonical_ray(d) for d in dirs}
-        for d in sorted(iso):
-            candidates.append(rational_entry(d))
-    else:
-        for sgn in (1, -1):
-            x = _Surd(Fraction(-h), Fraction(sgn), delta)
-            y = _Surd(Fraction(a), Fraction(0), delta)
-            val = _Surd(Fraction(ga[0]), Fraction(0), delta) * x + _Surd(
-                Fraction(ga[1]), Fraction(0), delta
-            ) * y
-            orientation = val.sign()
-            if orientation == 0:
-                raise ContractViolationError("isotropic ray cannot be ample-orthogonal")
-            if orientation < 0:
-                x, y = -x, -y
-            num_const, s, den = -h, sgn, a
-            if den < 0:
-                num_const, s, den = -num_const, -s, -den
-            desc = RayDescriptor(
-                rational=False,
-                num_const=num_const,
-                sign=s,
-                delta=delta,
-                den=den,
-                orientation=orientation,
-            )
-            candidates.append(((x, y), desc))
-    for cls in classes:
-        candidates.append(rational_entry(cls))
-    return candidates
+def _surd_sign(p: int, q: int, delta: int) -> int:
+    """Sign of p + q*sqrt(delta) for integers p, q and a nonsquare delta > 0.
+
+    With opposite signs the larger of p^2 and q^2*delta wins; they are
+    never equal, since delta is not a square.
+    """
+    sp, sq = _sign(p), _sign(q)
+    if sp == sq or sq == 0:
+        return sp
+    if sp == 0:
+        return sq
+    return sp if p * p > q * q * delta else sq
 
 
 def _rank2_report(
@@ -484,18 +412,60 @@ def _rank2_report(
     bound: EnumerationBound,
     classes: Sequence[Vec],
 ) -> Rank2Report:
-    candidates = _rank2_candidates(lattice, ample, classes)
-    clockwise = next(
-        entry
-        for entry in candidates
-        if all(_cross(entry[0], other[0]).sign() >= 0 for other in candidates)
-    )
-    counter = next(
-        entry
-        for entry in candidates
-        if all(_cross(entry[0], other[0]).sign() <= 0 for other in candidates)
-    )
-    ray1, ray2 = clockwise[1], counter[1]
+    """Boundary rays clockwise (ray1) and counterclockwise (ray2) of the ample class A.
+
+    A vector v lies clockwise of A when cross(A, v) = A_0 v_1 - A_1 v_0 < 0
+    and counterclockwise when it is > 0. Every class pairs positively with
+    A and has negative norm, so it is never parallel to A and lies outside
+    the positive cone, beyond the isotropic ray on its own side. The
+    candidates (both isotropic rays and every class) all lie in the open
+    half-plane paired positively with A, where cross orders them by angle.
+    So the boundary ray on a side is the outermost class on that side,
+    found in one scan, or the side's isotropic ray when no class lies there.
+
+    The isotropic rays are (-h +- sqrt(delta), a) for the form
+    a x^2 + 2h xy + c y^2 with delta = h^2 - ac, or (1, 0) and (-c, 2h)
+    when a = 0. For a square delta they are integer vectors, and each
+    enters its side's scan first, as the ray to beat. Otherwise their
+    orientation (sign of the ample pairing) and their side are signs of
+    p + q*sqrt(delta), which `_surd_sign` decides in integers.
+    """
+    gm = lattice.gram
+    a, h, c = gm[0][0], gm[0][1], gm[1][1]
+    delta = h * h - a * c
+    if delta <= 0:
+        raise ContractViolationError("hyperbolic plane must have positive discriminant")
+    ga = gram_vec(lattice, ample)
+    # keyed by side: -1 clockwise, 1 counterclockwise
+    rays: dict[int, RayDescriptor] = {}
+    outermost: dict[int, Vec] = {}
+    root = is_perfect_square(delta)
+    if root is not None:
+        dirs = [(-h + root, a), (-h - root, a)] if a != 0 else [(1, 0), (-c, 2 * h)]
+        for d in dirs:
+            d = tuple(_sign(_dot(ga, d)) * x for x in d)
+            outermost[_sign(_cross(ample, d))] = d
+    else:
+        for s in (1, -1):
+            orientation = _surd_sign(a * ga[1] - h * ga[0], s * ga[0], delta)
+            side = orientation * _surd_sign(a * ample[0] + h * ample[1], -s * ample[1], delta)
+            num_const, sign, den = (-h, s, a) if a > 0 else (h, -s, -a)
+            rays[side] = RayDescriptor(
+                rational=False,
+                num_const=num_const,
+                sign=sign,
+                delta=delta,
+                den=den,
+                orientation=orientation,
+            )
+    for v in classes:
+        side = _sign(_cross(ample, v))
+        w = outermost.get(side)
+        if w is None or side * _cross(w, v) > 0:
+            outermost[side] = v
+    for side, v in outermost.items():
+        rays[side] = RayDescriptor(rational=True, vector=canonical_ray(v))
+    ray1, ray2 = rays[-1], rays[1]
     if ray1.rational != ray2.rational:
         rational, irrational = (ray1, ray2) if ray1.rational else (ray2, ray1)
         raise MixedRationalityError(

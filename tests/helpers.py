@@ -3,20 +3,24 @@
 Everything here is deliberately written from scratch against the
 definitions, not by calling back into the code under test, so the test
 suite has a second opinion on the hard parts (Pell solving, bounded
-class enumeration, chamber walls). The Eff/Mov duality round trip is the
-exception: it runs the library's double description twice, as an oracle
-for the duality that `engine.analyze` proves.
+class enumeration, chamber walls, rank-2 boundary rays). The Eff/Mov
+duality round trip is the exception: it runs the library's double
+description twice, as an oracle for the duality that `engine.analyze`
+proves.
 """
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
-from ihscone.engine import _ample_frame, _shell_points
+from ihscone.engine import Rank2Report, RayDescriptor, _ample_frame, _shell_points
+from ihscone.errors import MixedRationalityError
 from ihscone.lattice import divisibility, gram_vec, is_primitive, pairing
+from ihscone.pell import is_perfect_square
 from ihscone.polyhedra import (
     _kernel_from_rref,
     canonical_ray,
@@ -222,6 +226,112 @@ def reference_profile_levels(lat: Lattice, dtype, ample, bound_b: int):
                     found.append(v)
         levels[m] = found
     return levels
+
+
+@dataclass(frozen=True)
+class _Surd:
+    """a + b*sqrt(delta) with rational a, b; delta a fixed positive integer."""
+
+    a: Fraction
+    b: Fraction
+    delta: int
+
+    def __add__(self, other):
+        return _Surd(self.a + other.a, self.b + other.b, self.delta)
+
+    def __sub__(self, other):
+        return _Surd(self.a - other.a, self.b - other.b, self.delta)
+
+    def __mul__(self, other):
+        return _Surd(
+            self.a * other.a + self.b * other.b * self.delta,
+            self.a * other.b + self.b * other.a,
+            self.delta,
+        )
+
+    def __neg__(self):
+        return _Surd(-self.a, -self.b, self.delta)
+
+    def sign(self) -> int:
+        a, b = self.a, self.b
+        if b == 0:
+            return (a > 0) - (a < 0)
+        if a == 0:
+            return (b > 0) - (b < 0)
+        if a > 0 and b > 0:
+            return 1
+        if a < 0 and b < 0:
+            return -1
+        lhs, rhs = a * a, b * b * self.delta
+        if a > 0:
+            return 1 if lhs > rhs else (-1 if lhs < rhs else 0)
+        return -1 if lhs > rhs else (1 if lhs < rhs else 0)
+
+
+def _surd_cross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def reference_rank2_rays(lat: Lattice, ample, bound: int, classes):
+    """Rank-2 boundary rays by comparing every candidate with every other.
+
+    The surd sweep the integer side split of `engine._rank2_report`
+    replaced: the two isotropic rays and every class become oriented pairs
+    of `_Surd`s, and ray1 (ray2) is the candidate with every other
+    candidate counterclockwise (clockwise) of it, by surd cross products.
+    Returns a `Rank2Report` or raises `MixedRationalityError` with the
+    engine's message.
+    """
+    gm = lat.gram
+    a, h, c = gm[0][0], gm[0][1], gm[1][1]
+    delta = h * h - a * c
+    assert delta > 0
+    ga = gram_vec(lat, ample)
+
+    def surd(x):
+        return _Surd(Fraction(x), Fraction(0), delta)
+
+    def rational_entry(vec):
+        if sum(gi * vi for gi, vi in zip(ga, vec)) < 0:
+            vec = tuple(-x for x in vec)
+        return (surd(vec[0]), surd(vec[1])), RayDescriptor(rational=True, vector=canonical_ray(vec))
+
+    candidates = []
+    root = is_perfect_square(delta)
+    if root is not None:
+        dirs = [(-h + root, a), (-h - root, a)] if a != 0 else [(1, 0), (-c, 2 * h)]
+        for d in sorted({canonical_ray(d) for d in dirs}):
+            candidates.append(rational_entry(d))
+    else:
+        for sgn in (1, -1):
+            x = _Surd(Fraction(-h), Fraction(sgn), delta)
+            y = surd(a)
+            orientation = (surd(ga[0]) * x + surd(ga[1]) * y).sign()
+            assert orientation != 0
+            if orientation < 0:
+                x, y = -x, -y
+            num_const, s, den = -h, sgn, a
+            if den < 0:
+                num_const, s, den = -num_const, -s, -den
+            desc = RayDescriptor(rational=False, num_const=num_const, sign=s, delta=delta,
+                                 den=den, orientation=orientation)
+            candidates.append(((x, y), desc))
+    candidates.extend(rational_entry(v) for v in classes)
+    ray1 = next(d for u, d in candidates
+                if all(_surd_cross(u, w).sign() >= 0 for w, _ in candidates))
+    ray2 = next(d for u, d in candidates
+                if all(_surd_cross(u, w).sign() <= 0 for w, _ in candidates))
+    if ray1.rational != ray2.rational:
+        rational, irrational = (ray1, ray2) if ray1.rational else (ray2, ray1)
+        raise MixedRationalityError(
+            "boundary rays mix rationality status within ample-pairing bound "
+            f"{bound}: {rational.display()} is rational while "
+            f"{irrational.display()} is irrational; either the bound hides an "
+            "exceptional class on the open side or the lattice falls outside "
+            "the guaranteed dichotomy"
+        )
+    both = ray1.rational
+    return Rank2Report(ray1=ray1, ray2=ray2, both_rational=both, bir_finite=both)
 
 
 def reference_weyl_reduce(lat: Lattice, roots, v):

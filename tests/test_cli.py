@@ -372,15 +372,47 @@ def test_exit_4_on_integer_over_digit_limit(tmp_path, capsys):
     assert str(_DIGIT_LIMIT) in e["message"] and "PYTHONINTMAXSTRDIGITS" in e["message"]
 
 
-def _cli_process(subcommand, path):
+def _cli_process(subcommand, path, *extra):
     """Run the CLI in a fresh interpreter with the current digit limit."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONINTMAXSTRDIGITS=str(_DIGIT_LIMIT))
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return subprocess.run(
-        [sys.executable, "-m", "ihscone.cli", subcommand, "--input", str(path)],
+        [sys.executable, "-m", "ihscone.cli", subcommand, "--input", str(path), *extra],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_unreadable_input_prints_no_traceback(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"n": 5, "label": "caf\xe9"}')
+    proc = _cli_process("pell", path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot read input: ")
+
+
+@pytest.mark.parametrize("where", ["missing/out.json", "."])
+def test_unwritable_output_prints_no_traceback(tmp_path, where):
+    path = tmp_path / "pell.json"
+    path.write_text(json.dumps({"n": 5}))
+    proc = _cli_process("pell", path, "--output", str(tmp_path / where))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot write output: ")
+
+
+@pytest.mark.parametrize("vector", [[2, 3], [1, 0]])
+def test_negative_max_steps_is_an_input_error(tmp_path, vector):
+    # [2, 3] needs two reflections and [1, 0] none: a negative cap is
+    # rejected before any reduction runs
+    path = tmp_path / "reduce.json"
+    path.write_text(json.dumps(dict(DENSE_DOC, vector=vector)))
+    proc = _cli_process("reduce", path, "--max-steps", "-1")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    e = _error_doc(proc.stderr)
+    assert e["kind"] == "InputFormatError" and "--max-steps" in e["message"]
 
 
 @needs_digit_limit

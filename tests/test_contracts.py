@@ -44,3 +44,19 @@ def test_library_has_no_unused_imports():
         for name, node in _unused_imports(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+
+
+def test_fractions_only_where_rationals_are_needed():
+    # the shell search, the wall pass and the rank-2 rays decide in
+    # integers; Fraction belongs to rational linear algebra, the alpha
+    # projection and the SVG drawing
+    allowed = {"lattice.py", "polyhedra.py", "alphas.py", "svg.py"}
+    package = Path(ihscone.__file__).parent
+    importers = {
+        path.name
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+        or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
+    }
+    assert importers <= allowed, sorted(importers - allowed)

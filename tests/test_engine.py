@@ -13,6 +13,7 @@ from ihscone.engine import (
     _profile_classes,
     _shell_frame,
     _shell_points,
+    _surd_sign,
     analyze,
     classify_rank2,
     enumerate_exceptional,
@@ -32,6 +33,7 @@ from tests.helpers import (
     duality_round_trip,
     fm_is_wall,
     reference_profile_levels,
+    reference_rank2_rays,
     transported,
 )
 
@@ -287,6 +289,61 @@ def test_classify_rank2_matches_analyze():
     direct = classify_rank2(DENSE, K3, (1, 0))
     via = analyze(DENSE, K3, (1, 0)).rank2
     assert direct == via
+
+
+def test_rank2_matches_reference_on_seeded_corpus():
+    # random binary forms with entries in [-8, 8] and signature (1, 1),
+    # random ample classes (some not primitive), six types, bounds 1-40:
+    # the side split gives the surd sweep's rays, or its error. Where
+    # analyze returns, the DD walls over cone(classes + ample) are the
+    # rational boundary rays of negative norm, since both are the extreme
+    # classes of that cone.
+    rng = random.Random(2024)
+    types = [K3, parse_type("K3[n]", 2), parse_type("K3[n]", 3), parse_type("Kum[n]", 2),
+             parse_type("OG6"), parse_type("OG10")]
+    irrational = square = a_zero = mixed = imprimitive = docs = 0
+    while docs < 300:
+        a, h, c = (rng.randint(-8, 8) for _ in range(3))
+        if h * h - a * c <= 0:
+            continue
+        lat = Lattice(((a, h), (h, c)))
+        ample = tuple(rng.choice((1, 1, 2, 3)) * rng.randint(-4, 4) for _ in range(2))
+        if norm(lat, ample) <= 0:
+            continue
+        t = rng.choice(types)
+        bound = EnumerationBound(max_ample_pairing=rng.randint(1, 40))
+        classes = enumerate_exceptional(lat, t, ample, bound)
+        try:
+            want = reference_rank2_rays(lat, ample, bound.max_ample_pairing, classes)
+        except MixedRationalityError as exc:
+            with pytest.raises(MixedRationalityError) as info:
+                analyze(lat, t, ample, bound)
+            assert str(info.value) == str(exc)
+            mixed += 1
+        else:
+            res = analyze(lat, t, ample, bound)
+            got = res.rank2
+            assert (got.ray1, got.ray2, got.both_rational) == (
+                want.ray1, want.ray2, want.both_rational)
+            boundary = {r.vector for r in (got.ray1, got.ray2)
+                        if r.rational and norm(lat, r.vector) < 0}
+            assert set(res.chamber_walls) == boundary
+            irrational += not got.both_rational
+        docs += 1
+        square += math.isqrt(h * h - a * c) ** 2 == h * h - a * c
+        a_zero += a == 0
+        imprimitive += math.gcd(*ample) != 1
+    assert irrational >= 100 and square >= 40 and a_zero >= 10 and mixed >= 10
+    assert imprimitive >= 10
+
+
+def test_surd_sign():
+    assert [_surd_sign(p, 0, 2) for p in (-3, 0, 5)] == [-1, 0, 1]
+    assert [_surd_sign(0, q, 2) for q in (-3, 5)] == [-1, 1]
+    assert _surd_sign(2, 3, 5) == 1 and _surd_sign(-2, -3, 5) == -1
+    # 3 - sqrt(8): 9 > 8; 2 - sqrt(8): 4 < 8
+    assert _surd_sign(3, -1, 8) == 1 and _surd_sign(-3, 1, 8) == -1
+    assert _surd_sign(2, -1, 8) == -1 and _surd_sign(-2, 1, 8) == 1
 
 
 def test_duality_checked_across_small_sample():
