@@ -10,7 +10,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Any, Optional
 
 from .alphas import (
@@ -24,10 +24,13 @@ from .catalog import DeformationType, expected_disc_group, matches_profile, pars
 from .engine import (
     ConeAnalysis,
     EnumerationBound,
+    Rank2Report,
     RayDescriptor,
     analyze,
     classify_rank2,
     enumerate_exceptional,
+    finiteness_report,
+    mds_classify,
 )
 from .errors import (
     BoundExceededError,
@@ -39,6 +42,7 @@ from .errors import (
 from .lattice import Lattice, Vec, discriminant_group, norm, signature
 from .pell import (
     fundamental_solution,
+    is_perfect_square,
     second_solution,
     solution_with_residue,
 )
@@ -136,7 +140,7 @@ class InputSpec:
 
 
 _LATTICE_FIELDS = {"gram", "type", "n", "ample", "bound", "label", "vector", "D", "E"}
-_BOUND_FIELDS = {"max_ample_pairing", "wall_test_limit", "pell_index_cap"}
+_BOUND_FIELDS = {f.name for f in fields(EnumerationBound)}
 
 
 def parse_input(text: str) -> InputSpec:
@@ -211,11 +215,7 @@ def _echo(spec: InputSpec) -> dict:
         "n": spec.dtype.n,
         "ample": list(spec.ample) if spec.ample is not None else None,
         "label": spec.label,
-        "bound": {
-            "max_ample_pairing": spec.bound.max_ample_pairing,
-            "wall_test_limit": spec.bound.wall_test_limit,
-            "pell_index_cap": spec.bound.pell_index_cap,
-        },
+        "bound": asdict(spec.bound),
     }
     if spec.vector is not None:
         doc["vector"] = list(spec.vector)
@@ -224,6 +224,15 @@ def _echo(spec: InputSpec) -> dict:
     if spec.e_class is not None:
         doc["E"] = list(spec.e_class)
     return doc
+
+
+def _header(spec: InputSpec, subcommand: str) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "subcommand": subcommand,
+        "label": spec.label,
+        "input": _echo(spec),
+    }
 
 
 def _require_ample(spec: InputSpec) -> Vec:
@@ -246,14 +255,14 @@ def _ray_json(desc: RayDescriptor) -> dict:
     }
 
 
-def _rank2_json(analysis_rank2) -> Optional[dict]:
-    if analysis_rank2 is None:
+def _rank2_json(report: Optional[Rank2Report]) -> Optional[dict]:
+    if report is None:
         return None
     return {
-        "ray1": _ray_json(analysis_rank2.ray1),
-        "ray2": _ray_json(analysis_rank2.ray2),
-        "both_rational": analysis_rank2.both_rational,
-        "bir_finite": analysis_rank2.bir_finite,
+        "ray1": _ray_json(report.ray1),
+        "ray2": _ray_json(report.ray2),
+        "both_rational": report.both_rational,
+        "bir_finite": report.both_rational,
     }
 
 
@@ -270,34 +279,33 @@ def _disc_json(spec: InputSpec) -> dict:
 
 
 def _analysis_json(spec: InputSpec, analysis: ConeAnalysis) -> dict:
+    walls = [list(v) for v in analysis.chamber_walls]
+    finiteness = finiteness_report(analysis)
+    eff = finiteness.eff_rational_polyhedral_up_to_bound
     return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "analyze",
-        "label": spec.label,
-        "input": _echo(spec),
+        **_header(spec, "analyze"),
         "signature": list(signature(spec.lattice)),
         "disc_group": _disc_json(spec),
         "exceptional_classes": [list(v) for v in analysis.exceptional_found],
         "exceptional_count": len(analysis.exceptional_found),
-        "chamber_walls": [list(v) for v in analysis.chamber_walls],
+        "chamber_walls": walls,
         "verdict": analysis.verdict,
-        "extremal_rays": [list(v) for v in analysis.extremal_rays],
-        "mov_candidate": {
-            "wall_inequalities": [list(v) for v in analysis.mov_candidate.wall_inequalities],
-            "includes_positive_cone": analysis.mov_candidate.includes_positive_cone,
-        },
-        # proven, not computed: see the duality argument in engine.analyze
+        "extremal_rays": walls,
+        "mov_candidate": {"wall_inequalities": walls, "includes_positive_cone": True},
+        # v1 copies, which v2 drops: extremal_rays and wall_inequalities
+        # repeat chamber_walls (engine.analyze proves it), bir_finite and
+        # quotient_finite repeat the eff bit, rank2.bir_finite repeats
+        # both_rational, and this key, includes_positive_cone and
+        # finitely_many_exceptional_up_to_bound are constant
         "duality_checked": True,
         "rank2": _rank2_json(analysis.rank2),
         "finiteness": {
-            "eff_rational_polyhedral_up_to_bound": analysis.finiteness.eff_rational_polyhedral_up_to_bound,
-            "bir_finite": analysis.finiteness.bir_finite,
-            "quotient_finite": analysis.finiteness.quotient_finite,
-            "finitely_many_exceptional_up_to_bound": analysis.finiteness.finitely_many_exceptional_up_to_bound,
-            "equivalence_applicable": analysis.finiteness.equivalence_applicable,
-            "caveat": analysis.finiteness.caveat,
+            **asdict(finiteness),
+            "bir_finite": eff,
+            "quotient_finite": eff,
+            "finitely_many_exceptional_up_to_bound": True,
         },
-        "mds": {"is_mds": analysis.mds.is_mds, "reason": analysis.mds.reason},
+        "mds": asdict(mds_classify(analysis)),
         "notes": list(analysis.notes),
     }
 
@@ -310,10 +318,7 @@ def run_analyze(spec: InputSpec) -> dict:
 def run_enumerate(spec: InputSpec) -> dict:
     classes = enumerate_exceptional(spec.lattice, spec.dtype, _require_ample(spec), spec.bound)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "enumerate",
-        "label": spec.label,
-        "input": _echo(spec),
+        **_header(spec, "enumerate"),
         "classes": [list(v) for v in classes],
         "count": len(classes),
         "bound": spec.bound.max_ample_pairing,
@@ -326,10 +331,7 @@ def run_reduce(spec: InputSpec, max_steps: int) -> dict:
     roots = enumerate_exceptional(spec.lattice, spec.dtype, _require_ample(spec), spec.bound)
     reduction = weyl_reduce(spec.lattice, roots, spec.vector, max_steps=max_steps)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "reduce",
-        "label": spec.label,
-        "input": _echo(spec),
+        **_header(spec, "reduce"),
         "roots_used": [list(v) for v in roots],
         "representative": list(reduction.representative),
         "word": [list(v) for v in reduction.word],
@@ -340,10 +342,7 @@ def run_reduce(spec: InputSpec, max_steps: int) -> dict:
 def _alpha_result_json(spec: InputSpec, result: AlphaResult, ctx) -> dict:
     sol = result.pell_solution_used
     return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "alpha",
-        "label": spec.label,
-        "input": _echo(spec),
+        **_header(spec, "alpha"),
         "context": {"d": ctx.d, "t": ctx.t, "b": ctx.b, "e": ctx.e, "N": ctx.N},
         "branch": result.branch,
         "alpha": list(result.alpha),
@@ -365,15 +364,12 @@ def run_alpha(spec: InputSpec) -> dict:
     ctx = build_context(lattice, spec.d_class, spec.e_class)
     if norm(lattice, spec.e_class) == 0:
         result = alpha_case_a(ctx)
+    elif is_perfect_square(ctx.N) is not None:
+        result = alpha_case_b(ctx)
+    elif matches_profile(lattice, spec.dtype, spec.e_class):
+        result = alpha_effective(ctx, spec.dtype)
     else:
-        from .pell import is_perfect_square
-
-        if is_perfect_square(ctx.N) is not None:
-            result = alpha_case_b(ctx)
-        elif matches_profile(lattice, spec.dtype, spec.e_class):
-            result = alpha_effective(ctx, spec.dtype)
-        else:
-            result = alpha_case_b(ctx)
+        result = alpha_case_b(ctx)
     return _alpha_result_json(spec, result, ctx)
 
 
@@ -427,16 +423,7 @@ def run_pell(text: str) -> dict:
 
 def run_rank2(spec: InputSpec) -> dict:
     report = classify_rank2(spec.lattice, spec.dtype, _require_ample(spec), spec.bound)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "subcommand": "rank2",
-        "label": spec.label,
-        "input": _echo(spec),
-        "ray1": _ray_json(report.ray1),
-        "ray2": _ray_json(report.ray2),
-        "both_rational": report.both_rational,
-        "bir_finite": report.bir_finite,
-    }
+    return {**_header(spec, "rank2"), **_rank2_json(report)}
 
 
 def run_plot_section(spec: InputSpec) -> str:

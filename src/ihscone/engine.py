@@ -17,7 +17,10 @@ products and two gcds.
 Chamber walls come from one double-description pass over the found
 classes and the ample class. The `analyze` docstring proves that those
 walls are already the extremal rays of the pseudo-effective candidate,
-dual to the movable half-spaces, so no second pass checks it.
+dual to the movable half-spaces, so no second pass checks it, and
+`ConeAnalysis.chamber_walls` is all three lists. Each result type holds
+each fact once; the finiteness and Mori-dream-space reports are computed
+on demand by `finiteness_report` and `mds_classify`.
 
 At rank 2 the two boundary rays come from splitting the classes by the
 side of the ample class they lie on: each ray is the outermost class on
@@ -27,7 +30,7 @@ a + b*sqrt(delta) decide the irrational isotropic rays, in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from operator import mul
 from typing import Optional, Sequence
 
@@ -64,23 +67,10 @@ class EnumerationBound:
     pell_index_cap: int = 64
 
     def __post_init__(self):
-        for name in ("max_ample_pairing", "wall_test_limit", "pell_index_cap"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not isinstance(value, int) or value < 1:
-                raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
-
-
-@dataclass(frozen=True)
-class MovCandidate:
-    """Half-space presentation of the movable-cone candidate.
-
-    The cone is {x : pairing(x, w) >= 0 for every wall w} intersected with
-    the closed positive cone; the quadric part is carried as a flag, not as
-    linear inequalities.
-    """
-
-    wall_inequalities: tuple[Vec, ...]
-    includes_positive_cone: bool = True
+                raise PreconditionError(f"{f.name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,15 +104,11 @@ class Rank2Report:
     ray1: RayDescriptor
     ray2: RayDescriptor
     both_rational: bool
-    bir_finite: bool
 
 
 @dataclass(frozen=True)
 class FinitenessReport:
     eff_rational_polyhedral_up_to_bound: bool
-    bir_finite: bool
-    quotient_finite: bool
-    finitely_many_exceptional_up_to_bound: bool
     equivalence_applicable: bool
     caveat: str
 
@@ -142,11 +128,7 @@ class ConeAnalysis:
     exceptional_found: tuple[Vec, ...]
     chamber_walls: tuple[Vec, ...]
     verdict: str
-    extremal_rays: tuple[Vec, ...]
-    mov_candidate: MovCandidate
     rank2: Optional[Rank2Report] = None
-    finiteness: Optional[FinitenessReport] = None
-    mds: Optional[MDSReport] = None
     notes: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -475,8 +457,7 @@ def _rank2_report(
             "exceptional class on the open side or the lattice falls outside "
             "the guaranteed dichotomy"
         )
-    both = ray1.rational
-    return Rank2Report(ray1=ray1, ray2=ray2, both_rational=both, bir_finite=both)
+    return Rank2Report(ray1=ray1, ray2=ray2, both_rational=ray1.rational)
 
 
 def classify_rank2(
@@ -506,9 +487,9 @@ def analyze(
     """Full bounded cone analysis.
 
     Enumerate classes; decide the dichotomy verdict; on the polyhedral branch
-    compute the chamber's generators with one double-description pass, read
-    off the walls and build the movable candidate; attach rank-2,
-    finiteness and Mori-dream-space reports.
+    compute the chamber's generators with one double-description pass and
+    read off the walls; at rank 2 attach the boundary-ray report.
+    `finiteness_report` and `mds_classify` derive the other reports.
 
     The walls need no second pass to be the extremal rays, because duality
     between them and the movable half-spaces is already proven. Let C be
@@ -562,7 +543,7 @@ def analyze(
                 f"{bound.max_ample_pairing}, increase max_ample_pairing"
             )
     rank2 = _rank2_report(lattice, ample, bound, classes) if n == 2 else None
-    analysis = ConeAnalysis(
+    return ConeAnalysis(
         lattice=lattice,
         type=t,
         ample=tuple(ample),
@@ -570,42 +551,32 @@ def analyze(
         exceptional_found=classes,
         chamber_walls=walls,
         verdict=verdict,
-        extremal_rays=walls,
-        mov_candidate=MovCandidate(wall_inequalities=walls),
         rank2=rank2,
         notes=tuple(notes),
     )
-    analysis = replace(analysis, finiteness=finiteness_report(analysis))
-    analysis = replace(analysis, mds=mds_classify(analysis))
-    return analysis
 
 
 def finiteness_report(analysis: ConeAnalysis) -> FinitenessReport:
     """Finiteness equivalences, truncated at the enumeration bound.
 
-    At rank >= 3 the chain rational-polyhedral <=> finite birational group
-    <=> finite quotient is applied to the verdict; at rank 2 rationality of
-    the boundary rays decides; rank 1 is trivially rational.
+    One bit: up to the bound, Eff(X) is rational polyhedral exactly when
+    Bir(X) and the quotient are finite. At rank >= 3 the verdict decides
+    it; at rank 2 rationality of the boundary rays; rank 1 is trivially
+    rational.
     """
     n = analysis.lattice.rank
     b = analysis.bound.max_ample_pairing
     if n == 1:
         eff = True
-        bir = True
     elif n == 2:
         if analysis.rank2 is None:
             raise PreconditionError("rank-2 analysis is missing its boundary-ray report")
         eff = analysis.rank2.both_rational
-        bir = analysis.rank2.bir_finite
     else:
         eff = analysis.verdict == VERDICT_POLYHEDRAL
-        bir = eff
     applicable = n >= 3 and bool(analysis.exceptional_found)
     return FinitenessReport(
         eff_rational_polyhedral_up_to_bound=eff,
-        bir_finite=bir,
-        quotient_finite=bir,
-        finitely_many_exceptional_up_to_bound=True,
         equivalence_applicable=applicable,
         caveat=f"all statements truncated at ample-pairing bound {b}",
     )
@@ -613,10 +584,8 @@ def finiteness_report(analysis: ConeAnalysis) -> FinitenessReport:
 
 def mds_classify(analysis: ConeAnalysis) -> MDSReport:
     """Mori-dream-space trichotomy from the finiteness data."""
-    n = analysis.lattice.rank
-    if n < 3:
-        rational = True if n == 1 else analysis.rank2.both_rational
-        if rational:
+    if analysis.lattice.rank < 3:
+        if finiteness_report(analysis).eff_rational_polyhedral_up_to_bound:
             return MDSReport(is_mds=True, reason="rank_below_3_eff_rational")
         return MDSReport(is_mds=False, reason="rank_below_3_eff_irrational")
     if analysis.exceptional_found:

@@ -116,7 +116,7 @@ def render_section(analysis: ConeAnalysis) -> str:
     chords = [
         _wall_chord(lattice, ample, u1, u2, p, wall) for wall in analysis.chamber_walls
     ]
-    points = [_ray_point(lattice, ample, u1, u2, ray) for ray in analysis.extremal_rays]
+    points = [_ray_point(lattice, ample, u1, u2, ray) for ray in analysis.chamber_walls]
 
     r_max = max(rx, ry)
     xs = [-r_max, r_max] + [pt[0] for pt in points]

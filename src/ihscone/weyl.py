@@ -59,13 +59,12 @@ def _reflection_coefficient(num: int, root_norm: int) -> int:
     return c
 
 
-def reflection_is_integral(L: Lattice, t, root: Sequence[int]) -> bool:
+def reflection_is_integral(L: Lattice, root: Sequence[int]) -> bool:
     """True iff the reflection in root maps the whole lattice into itself,
     i.e. norm(root) divides 2*pairing(root, b) for every basis vector b.
 
-    Roots matching a catalog profile of the type t always pass (their
-    norm divides twice their divisibility); t is accepted to document
-    that context and for signature parity with the callers.
+    Roots matching a catalog profile always pass (their norm divides
+    twice their divisibility).
     """
     ref = Reflection.of(L, root)
     return all(2 * x % ref.root_norm == 0 for x in gram_vec(L, ref.root))

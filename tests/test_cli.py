@@ -1,7 +1,10 @@
 """End-to-end CLI behavior: input validation, report shape, schema
 conformance, exit codes, determinism."""
+import collections
+import hashlib
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -291,7 +294,7 @@ def test_rank2_irrational_end_to_end(tmp_path, capsys):
     assert r2["display"] == "((0 + sqrt(12))/2, 1)"
     assert r1["delta"] == "12" and r1["den"] == "2"
     assert r1["sign"] == "-1" and r1["orientation"] == "-1"
-    assert doc["both_rational"] is False
+    assert doc["both_rational"] is False and doc["bir_finite"] is False
 
 
 def test_plot_section_end_to_end(tmp_path, capsys):
@@ -481,6 +484,78 @@ def test_byte_stability(tmp_path, capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+GOLDEN_TYPES = (
+    ("K3", None), ("K3[n]", 2), ("K3[n]", 3), ("Kum[n]", 2), ("OG6", None), ("OG10", None),
+)
+# sha256 of the corpus runs below, computed at the commit before the v1
+# copies moved from the engine's result types into the writer
+GOLDEN_DIGEST = "185ffc3b57fce2583fbd2913cfab1ce779dc12f7d528ff7f86512feb48c7ae3c"
+
+
+def _golden_docs():
+    """400 seeded documents: rank 1-4, six types, some off-diagonal entries.
+
+    Many are not hyperbolic (exit 3); some rank-2 ones mix rational and
+    irrational rays at their bound (exit 5).
+    """
+    rng = random.Random(20221)
+    docs = []
+    for _ in range(400):
+        rank = rng.randint(1, 4)
+        gram = [[0] * rank for _ in range(rank)]
+        for i in range(rank):
+            gram[i][i] = rng.choice((2, 4, 6)) if i == 0 else -rng.randint(1, 6)
+            for j in range(i):
+                if rng.random() < 0.3:
+                    gram[i][j] = gram[j][i] = rng.randint(-3, 3)
+        tag, n = rng.choice(GOLDEN_TYPES)
+        docs.append({
+            "gram": gram, "type": tag, "n": n,
+            "ample": [rng.randint(1, 3)] + [rng.randint(-1, 1) for _ in range(rank - 1)],
+            "bound": {"max_ample_pairing": rng.randint(1, 8)},
+        })
+    return docs
+
+
+def test_golden_report_bytes(tmp_path, capsys):
+    # no CI digest covers rank-1 or rank-2 analyze reports or the exit-5
+    # path; the pin holds every byte and exit code of this corpus
+    digest = hashlib.sha256()
+    seen = collections.Counter()
+    path = _write(tmp_path, {})
+    for doc_in in _golden_docs():
+        Path(path).write_text(json.dumps(doc_in))
+        rank = len(doc_in["gram"])
+        for sub in ("analyze", "rank2") if rank == 2 else ("analyze",):
+            code, out, err = _run(capsys, [sub, "--input", path])
+            digest.update(json.dumps([sub, code, out, err]).encode())
+            seen[sub, code] += 1
+            if code != 0:
+                continue
+            rep = json.loads(out)
+            if sub == "rank2":
+                assert rep["bir_finite"] == rep["both_rational"], doc_in
+                continue
+            seen["rank", rank] += 1
+            seen["irrational"] += rank == 2 and not rep["rank2"]["both_rational"]
+            seen["circular"] += rank >= 3 and rep["verdict"] == "CircularUpToBound"
+            # the facts v1 writes more than once
+            mov, fin = rep["mov_candidate"], rep["finiteness"]
+            assert rep["extremal_rays"] == rep["chamber_walls"], doc_in
+            assert mov["wall_inequalities"] == rep["chamber_walls"], doc_in
+            assert mov["includes_positive_cone"] is True, doc_in
+            assert fin["bir_finite"] == fin["eff_rational_polyhedral_up_to_bound"], doc_in
+            assert fin["quotient_finite"] == fin["bir_finite"], doc_in
+            assert rep["mds"]["is_mds"] == fin["bir_finite"], doc_in
+            assert fin["finitely_many_exceptional_up_to_bound"] is True, doc_in
+            if rank == 2:
+                assert rep["rank2"]["bir_finite"] == rep["rank2"]["both_rational"], doc_in
+    assert seen["rank", 2] >= 50 and seen["irrational"] >= 10, seen
+    assert seen["rank", 1] >= 1 and seen["circular"] >= 1, seen
+    assert seen["analyze", 5] + seen["rank2", 5] >= 5, seen
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 def test_pretty_and_compact_agree(tmp_path, capsys):

@@ -7,6 +7,7 @@ overrides <= 4) and then takes up to three corruptions: junk values
 ragged rows, wrong lengths, missing or unknown fields, bad bounds.
 """
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -17,13 +18,14 @@ from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
 from ihscone.cli import main
+from ihscone.engine import EnumerationBound
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "report-v1.schema.json"
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
 
 SUBCOMMANDS = ("analyze", "enumerate", "reduce", "alpha", "pell", "plot-section", "rank2")
 BOUND_FLAG = {"analyze", "enumerate", "reduce", "rank2", "plot-section"}
-BOUND_FIELDS = ("max_ample_pairing", "wall_test_limit", "pell_index_cap")
+BOUND_FIELDS = tuple(f.name for f in dataclasses.fields(EnumerationBound))
 TAGS = ("K3", "K3[n]", "Kum[n]", "OG6", "OG10")
 
 small = st.integers(-6, 6)
@@ -151,3 +153,11 @@ def test_random_documents_end_in_a_documented_exit_code(case):
         else:
             assert not out.exists()
             assert set(json.loads(err.getvalue())["error"]) == {"kind", "message"}
+
+
+def test_schema_bound_echo_names_the_bound_fields():
+    definitions = VALIDATOR.schema["definitions"]
+    ref = definitions["inputEcho"]["properties"]["bound"]["$ref"]
+    bound = definitions[ref.rsplit("/", 1)[-1]]
+    assert sorted(bound["properties"]) == sorted(BOUND_FIELDS)
+    assert sorted(bound["required"]) == sorted(BOUND_FIELDS)

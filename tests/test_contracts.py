@@ -60,3 +60,18 @@ def test_fractions_only_where_rationals_are_needed():
         or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))
     }
     assert importers <= allowed, sorted(importers - allowed)
+
+
+def test_library_imports_at_module_level():
+    # an import inside a function hides a module dependency and is paid
+    # on every call
+    package = Path(ihscone.__file__).parent
+    found = [
+        f"{path.name}:{inner.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    ]
+    assert found == []

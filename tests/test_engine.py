@@ -1,5 +1,6 @@
 """Bounded cone analysis: exceptional enumeration, chamber walls, the
 dichotomy verdict, rank-2 boundary rays, finiteness and MDS reports."""
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -17,6 +18,8 @@ from ihscone.engine import (
     analyze,
     classify_rank2,
     enumerate_exceptional,
+    finiteness_report,
+    mds_classify,
 )
 from ihscone.errors import (
     BoundExceededError,
@@ -138,15 +141,14 @@ def test_analyze_polyhedral_rank3_frozen():
     assert set(res.chamber_walls) == {
         (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1)
     }
-    assert res.extremal_rays == res.chamber_walls
-    assert res.mov_candidate.wall_inequalities == res.chamber_walls
-    assert res.mov_candidate.includes_positive_cone
     assert duality_round_trip(K3_RANK3, res.chamber_walls)
     assert res.rank2 is None
-    assert res.finiteness.eff_rational_polyhedral_up_to_bound
-    assert res.finiteness.equivalence_applicable
-    assert res.mds.is_mds
-    assert res.mds.reason == "rank_ge_3_neg_nonempty_finite_up_to_bound"
+    f = finiteness_report(res)
+    assert f.eff_rational_polyhedral_up_to_bound
+    assert f.equivalence_applicable
+    mds = mds_classify(res)
+    assert mds.is_mds
+    assert mds.reason == "rank_ge_3_neg_nonempty_finite_up_to_bound"
     assert any("orthogonal to the profile-matching class (0, 0, -1)" in n
                for n in res.notes)
 
@@ -161,14 +163,14 @@ def test_analyze_polyhedral_rank2_frozen():
     r2 = res.rank2
     assert r2.ray1.rational and r2.ray1.vector == (1, -1)
     assert r2.ray2.rational and r2.ray2.vector == (0, 1)
-    assert r2.both_rational and r2.bir_finite
+    assert r2.both_rational
     assert set(res.chamber_walls) == {r2.ray1.vector, r2.ray2.vector}
-    f = res.finiteness
-    assert f.eff_rational_polyhedral_up_to_bound and f.bir_finite
-    assert f.quotient_finite and f.finitely_many_exceptional_up_to_bound
+    f = finiteness_report(res)
+    assert f.eff_rational_polyhedral_up_to_bound
     assert not f.equivalence_applicable
     assert f.caveat == "all statements truncated at ample-pairing bound 10"
-    assert res.mds.is_mds and res.mds.reason == "rank_below_3_eff_rational"
+    mds = mds_classify(res)
+    assert mds.is_mds and mds.reason == "rank_below_3_eff_rational"
 
 
 def test_analyze_circular_rank2_rational_frozen():
@@ -177,8 +179,9 @@ def test_analyze_circular_rank2_rational_frozen():
     assert res.exceptional_found == () and res.chamber_walls == ()
     r2 = res.rank2
     assert r2.ray1.vector == (1, -1) and r2.ray2.vector == (1, 1)
-    assert r2.both_rational and r2.bir_finite
-    assert res.mds.is_mds and res.mds.reason == "rank_below_3_eff_rational"
+    assert r2.both_rational
+    mds = mds_classify(res)
+    assert mds.is_mds and mds.reason == "rank_below_3_eff_rational"
     assert any("closed positive cone" in n for n in res.notes)
 
 
@@ -186,33 +189,36 @@ def test_analyze_circular_rank2_irrational_frozen():
     res = analyze(Lattice(((2, 0), (0, -6))), K3, (1, 0))
     assert res.verdict == "CircularUpToBound"
     r2 = res.rank2
-    assert not r2.both_rational and not r2.bir_finite
+    assert not r2.both_rational
     assert not r2.ray1.rational and not r2.ray2.rational
     d1, d2 = r2.ray1, r2.ray2
     assert (d1.num_const, d1.sign, d1.delta, d1.den, d1.orientation) == (0, -1, 12, 2, -1)
     assert (d2.num_const, d2.sign, d2.delta, d2.den, d2.orientation) == (0, 1, 12, 2, 1)
     assert d1.display() == "-((0 - sqrt(12))/2, 1)"
     assert d2.display() == "((0 + sqrt(12))/2, 1)"
-    assert not res.finiteness.eff_rational_polyhedral_up_to_bound
-    assert not res.mds.is_mds
-    assert res.mds.reason == "rank_below_3_eff_irrational"
+    assert not finiteness_report(res).eff_rational_polyhedral_up_to_bound
+    mds = mds_classify(res)
+    assert not mds.is_mds
+    assert mds.reason == "rank_below_3_eff_irrational"
 
 
 def test_analyze_circular_rank3_frozen():
     res = analyze(Lattice(((4, 0, 0), (0, -4, 0), (0, 0, -4))), K3, AMPLE3)
     assert res.verdict == "CircularUpToBound"
     assert res.exceptional_found == ()
-    f = res.finiteness
-    assert (
-        f.eff_rational_polyhedral_up_to_bound,
-        f.bir_finite,
-        f.quotient_finite,
-        f.finitely_many_exceptional_up_to_bound,
-        f.equivalence_applicable,
-    ) == (False, False, False, True, False)
-    assert not res.mds.is_mds
-    assert res.mds.reason == "rank_ge_3_neg_empty_up_to_bound"
+    f = finiteness_report(res)
+    assert (f.eff_rational_polyhedral_up_to_bound, f.equivalence_applicable) == (False, False)
+    mds = mds_classify(res)
+    assert not mds.is_mds
+    assert mds.reason == "rank_ge_3_neg_empty_up_to_bound"
     assert any("reported symbolically, not sampled" in n for n in res.notes)
+
+
+def test_reports_need_the_rank2_report_at_rank_2():
+    res = dataclasses.replace(analyze(DENSE, K3, (1, 0)), rank2=None)
+    for report in (finiteness_report, mds_classify):
+        with pytest.raises(PreconditionError, match="missing its boundary-ray report"):
+            report(res)
 
 
 def test_analyze_mixed_rationality_is_a_contract_violation():

@@ -24,7 +24,7 @@ def test_element_counts_follow_analysis():
     svg = render_section(res)
     assert svg.count("<ellipse") == 1
     assert svg.count("<line") == len(res.chamber_walls) == 4
-    assert svg.count("<circle") == len(res.extremal_rays) == 4
+    assert svg.count("<circle") == len(res.chamber_walls) == 4
     assert svg.startswith(
         '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
         'viewBox="-1.300000 -1.300000 2.600000 2.600000">'

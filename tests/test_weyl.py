@@ -68,11 +68,11 @@ def test_reflection_root_validation():
 
 
 def test_reflection_is_integral_frozen():
-    assert reflection_is_integral(DIAG, parse_type("K3"), (0, 1))
+    assert reflection_is_integral(DIAG, (0, 1))
     og10 = Lattice(((2, 3), (3, -6)))
-    assert reflection_is_integral(og10, parse_type("OG10"), (0, 1))
+    assert reflection_is_integral(og10, (0, 1))
     skew = Lattice(((-4, 1), (1, 2)))
-    assert not reflection_is_integral(skew, None, (1, 0))
+    assert not reflection_is_integral(skew, (1, 0))
 
 
 def test_reflect_rejects_non_integral_image():
@@ -92,7 +92,7 @@ def test_profile_roots_reflect_well():
                 rank = rng.randint(2, 5)
                 lat, root = rand_profile_root(rng, p, rank)
                 assert norm(lat, root) == p.square
-                assert reflection_is_integral(lat, t, root)
+                assert reflection_is_integral(lat, root)
                 assert reflect(lat, root, root) == tuple(-x for x in root)
                 u = tuple(rng.randint(-4, 4) for _ in range(rank))
                 w = tuple(rng.randint(-4, 4) for _ in range(rank))
