@@ -51,7 +51,7 @@ from .lattice import (
     smith_normal_form,
 )
 from .pell import is_perfect_square
-from .polyhedra import canonical_ray, dd_generators
+from .polyhedra import canonical_ray, dd_generators, dot
 from .weyl import is_chamber_wall
 
 VERDICT_CIRCULAR = "CircularUpToBound"
@@ -273,10 +273,6 @@ class _ShellFrame:
     div_table: tuple[tuple[int, tuple[int, ...]], ...]
 
 
-def _dot(u, w) -> int:
-    return sum(map(mul, u, w))
-
-
 def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFrame:
     g, x_unit, kernel = _ample_frame(lattice, ample)
     gram_kernel = [gram_vec(lattice, u) for u in kernel]
@@ -286,11 +282,11 @@ def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFram
         g=g,
         kernel_rows=tuple(tuple(u[r] for u in kernel) for r in range(n)),
         gram_kernel_rows=tuple(tuple(gu[r] for gu in gram_kernel) for r in range(n)),
-        p_matrix=tuple(tuple(-_dot(u, gw) for gw in gram_kernel) for u in kernel),
+        p_matrix=tuple(tuple(-dot(u, gw) for gw in gram_kernel) for u in kernel),
         x_unit=x_unit,
         gram_x_unit=gram_x_unit,
-        b_unit=tuple(_dot(u, gram_x_unit) for u in kernel),
-        c_unit=_dot(x_unit, gram_x_unit),
+        b_unit=tuple(dot(u, gram_x_unit) for u in kernel),
+        c_unit=dot(x_unit, gram_x_unit),
         div_table=tuple(sorted(_profile_div_table(t).items())),
     )
 
@@ -425,7 +421,7 @@ def _rank2_report(
     if root is not None:
         dirs = [(-h + root, a), (-h - root, a)] if a != 0 else [(1, 0), (-c, 2 * h)]
         for d in dirs:
-            d = tuple(_sign(_dot(ga, d)) * x for x in d)
+            d = tuple(_sign(dot(ga, d)) * x for x in d)
             outermost[_sign(_cross(ample, d))] = d
     else:
         for s in (1, -1):

@@ -1,18 +1,21 @@
-"""Exact polyhedral-cone routines at small rank: double description,
-rref, ray canonicalization, and Fourier-Motzkin feasibility.
+"""Exact polyhedral-cone routines at small rank: integer kernels, double
+description, ray canonicalization, and Fourier-Motzkin feasibility.
 
-dd_generators is the library's one polyhedral engine; it runs over the
-integers, and `engine.analyze` calls it once per polyhedral analysis.
-fm_satisfiable is kept as the independent oracle the tests check wall
-detection against; no library code calls it.  Nothing here knows about
-lattices or bilinear forms.  Intended scale is rank <= 8 with up to a
-few hundred constraints.
+dd_generators is the library's one polyhedral engine, and `engine.analyze`
+calls it once per polyhedral analysis.  It and kernel_basis run over the
+integers: their one elimination step, _cut, replaces each vector of a
+lattice basis by a primitive integer combination.  fm_satisfiable is kept
+as the independent oracle the tests check wall detection against; no
+library code calls it, and it and _canon_constraint are the only
+Fraction code here.  Nothing here knows about lattices or bilinear forms.
+Intended scale is rank <= 8 with up to a few hundred constraints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 FrVec = tuple[Fraction, ...]
@@ -66,59 +69,51 @@ def fm_satisfiable(rows: Iterable[Constraint], nvars: int) -> bool:
     return True
 
 
-def rref(rows: Sequence[Sequence[Fraction]]):
-    """Reduced row echelon form; returns (rows, pivot_columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+def dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
 
 
-def _kernel_from_rref(red, pivots, n: int) -> list[FrVec]:
-    """Basis of {x in Q^n : row . x = 0 for every row}, from an rref
-    result (red, pivots) of the rows."""
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            v[p] = -red[i][f]
-        basis.append(tuple(v))
-    return basis
-
-
-def canonical_ray(v: Sequence) -> tuple[int, ...]:
+def canonical_ray(v: Sequence[int]) -> tuple[int, ...]:
     """Primitive integer vector on the same ray (direction preserved)."""
-    fr = [Fraction(x) for x in v]
-    if all(x == 0 for x in fr):
+    g = gcd(*v)
+    if g == 0:
         raise ValueError("zero vector spans no ray")
-    mult = lcm(*(x.denominator for x in fr))
-    ints = [int(x * mult) for x in fr]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    return tuple(x // g for x in v)
+
+
+def _move(a: Sequence[int], u: tuple[int, ...], l0: tuple[int, ...], s: int) -> tuple[int, ...]:
+    """u moved along l0 onto the hyperplane a . x = 0, for s = a . l0 > 0:
+    the primitive vector of s*u - (a . u)*l0."""
+    v = dot(a, u)
+    return canonical_ray([s * x - v * y for x, y in zip(u, l0)]) if v else u
+
+
+def _cut(a: Sequence[int], basis: list[tuple[int, ...]]):
+    """Split the span of basis by the hyperplane a . x = 0.
+
+    Returns None when a vanishes on every basis vector.  Otherwise the
+    first basis vector l0 with a . l0 != 0, oriented so that
+    s = a . l0 > 0, is the pivot, and the result is (l0, s, rest): rest is
+    the other basis vectors moved onto the hyperplane along l0, a basis of
+    the part of the span on it.
+    """
+    for k, l0 in enumerate(basis):
+        s = dot(a, l0)
+        if s:
+            if s < 0:
+                s, l0 = -s, tuple(-x for x in l0)
+            return l0, s, basis[:k] + [_move(a, u, l0, s) for u in basis[k + 1:]]
+    return None
+
+
+def kernel_basis(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {x in Q^n : a . x = 0 for every row a}."""
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    for a in rows:
+        cut = _cut(a, basis)
+        if cut is not None:
+            basis = cut[2]
+    return basis
 
 
 def dd_generators(ineq_rows: Sequence[Sequence[int]], n: int):
@@ -126,37 +121,35 @@ def dd_generators(ineq_rows: Sequence[Sequence[int]], n: int):
 
     Returns (lineality_basis, extreme_rays), both lists of primitive
     integer tuples; the cone is the set of lineality combinations plus
-    nonnegative ray combinations.  The rays lie in the span of the unit
-    vectors at the pivot columns of the rows, a complement of the
-    lineality space, where the cone is pointed.
+    nonnegative ray combinations.
 
-    Motzkin's double description over the integers: rows and rays are
-    primitive integer vectors, and each ray carries the bitmask of the
-    inserted rows it is tight on.  Inserting a row combines a ray on its
-    positive side with one on its negative side only when the two are
-    adjacent (Fukuda & Prodon 1996): their common tight set has at least
-    r - 2 members, r the rank of the rows, and no third ray's tight set
-    contains it.  Adjacent pairs give exactly the new extreme rays, so
-    nothing needs pruning.
+    Motzkin's double description over the integers, started from the
+    whole space: no rays, and the unit vectors as lineality basis.  Rows
+    and rays are primitive integer vectors, and each ray carries the
+    bitmask of the inserted rows it is tight on.  A row a that does not
+    vanish on the lineality space cuts it (see _cut): the pivot l0 becomes
+    a ray, tight on every earlier row, and each old ray moves along l0
+    onto a-perp, which keeps it extreme, keeps its tight set and makes it
+    tight on a.  After d cuts the cone modulo its lineality space is
+    pointed of dimension d.  Any other row combines a ray on its positive
+    side with one on its negative side only when the two are adjacent
+    (Fukuda & Prodon 1996): their common tight set has at least d - 2
+    members, and no third ray's tight set contains it.  Adjacent pairs
+    give exactly the new extreme rays, so nothing needs pruning.
     """
-    rows = [canonical_ray(r) for r in ineq_rows if any(x != 0 for x in r)]
-    red, pivots = rref(rows)
-    lin = [canonical_ray(b) for b in _kernel_from_rref(red, pivots, n)]
-    if not rows:
-        return lin, []
-    # reduced coordinates: the pivot columns span a complement of lin
-    r = len(pivots)
-    B = [tuple(row[p] for p in pivots) for row in rows]
-
-    # initial simplicial cone: the first r independent reduced rows (the
-    # pivot columns of B's transpose); ray j is tight on all of them but j
-    _, chosen = rref(list(zip(*B)))
-    inv = invert_matrix([B[i] for i in chosen])
-    rays = [canonical_ray([inv[i][j] for i in range(r)]) for j in range(r)]
-    tight = [sum(1 << i for i in chosen if i != c) for c in chosen]
-
-    for i in (i for i in range(len(B)) if i not in chosen):
-        vals = [_dot(B[i], u) for u in rays]
+    rows = [canonical_ray(r) for r in ineq_rows if any(r)]
+    lin = kernel_basis((), n)
+    rays: list[tuple[int, ...]] = []
+    tight: list[int] = []
+    for i, a in enumerate(rows):
+        cut = _cut(a, lin)
+        if cut is not None:
+            l0, s, lin = cut
+            rays = [_move(a, u, l0, s) for u in rays] + [l0]
+            tight = [t | (1 << i) for t in tight] + [(1 << i) - 1]
+            continue
+        d = n - len(lin)
+        vals = [dot(a, u) for u in rays]
         next_rays = [u for u, v in zip(rays, vals) if v >= 0]
         next_tight = [t | (1 << i) if v == 0 else t for t, v in zip(tight, vals) if v >= 0]
         for p, vp in enumerate(vals):
@@ -166,34 +159,11 @@ def dd_generators(ineq_rows: Sequence[Sequence[int]], n: int):
                 if vn >= 0:
                     continue
                 common = tight[p] & tight[q]
-                if common.bit_count() < r - 2 or any(
+                if common.bit_count() < d - 2 or any(
                     t & common == common for k, t in enumerate(tight) if k != p and k != q
                 ):
                     continue
-                cand = [vp * x - vn * y for x, y in zip(rays[q], rays[p])]
-                g = gcd(*cand)
-                next_rays.append(tuple(x // g for x in cand))
+                next_rays.append(canonical_ray([vp * x - vn * y for x, y in zip(rays[q], rays[p])]))
                 next_tight.append(common | (1 << i))
         rays, tight = next_rays, next_tight
-    # lift back to R^n
-    lifted = []
-    for u in rays:
-        x = [0] * n
-        for j, p in enumerate(pivots):
-            x[p] = u[j]
-        lifted.append(tuple(x))
-    return lin, lifted
-
-
-def _dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
-
-
-def invert_matrix(m):
-    """Exact inverse of a square matrix over the rationals."""
-    n = len(m)
-    aug = [list(map(Fraction, m[i])) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    red, piv = rref(aug)
-    if piv != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return lin, rays

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
 )
 from .lattice import Lattice, Vec, gram_vec, norm, pairing
-from .polyhedra import rref
+from .polyhedra import dot, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -143,7 +143,8 @@ def is_chamber_wall(
     candidate is one of the roots, so C lies on one side of
     candidate-perp.  The face C meet candidate-perp is then spanned by the
     lineality basis and the rays that pair to zero with the candidate, so
-    it is a facet exactly when those vectors have rank n - 1.
+    it is a facet exactly when those vectors have rank n - 1: when the
+    integer kernel of those vectors, taken as rows, is a line.
 
     This is the strict system pairing(x, candidate) = 0, pairing(x, r) > 0
     for every other root r, pairing(x, ample) > 0, whenever the roots are
@@ -156,5 +157,5 @@ def is_chamber_wall(
     satisfies it, and at rank 2 the two conditions agree outright.
     """
     c = gram_vec(L, L.check_vector(candidate))
-    tight = [u for u in rays if sum(x * y for x, y in zip(c, u)) == 0]
-    return len(rref(list(lineality) + tight)[0]) == L.rank - 1
+    tight = [u for u in rays if dot(c, u) == 0]
+    return len(kernel_basis(list(lineality) + tight, L.rank)) == 1

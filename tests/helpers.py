@@ -19,16 +19,9 @@ from math import gcd, isqrt, lcm
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
 from ihscone.engine import Rank2Report, RayDescriptor, _ample_frame, _shell_points
 from ihscone.errors import MixedRationalityError
-from ihscone.lattice import divisibility, gram_vec, is_primitive, pairing
+from ihscone.lattice import det_int, divisibility, gram_vec, is_primitive, pairing
 from ihscone.pell import is_perfect_square
-from ihscone.polyhedra import (
-    _kernel_from_rref,
-    canonical_ray,
-    dd_generators,
-    fm_satisfiable,
-    invert_matrix,
-    rref,
-)
+from ihscone.polyhedra import canonical_ray, dd_generators, fm_satisfiable
 from ihscone.weyl import reflect
 
 
@@ -62,13 +55,20 @@ def congruate(gram, p):
     )
 
 
-def unimodular_inverse(p) -> list[list[int]]:
-    inv = invert_matrix([[Fraction(x) for x in row] for row in p])
-    out = []
-    for row in inv:
-        assert all(x.denominator == 1 for x in row)
-        out.append([int(x) for x in row])
-    return out
+def inverse(p) -> list[list]:
+    """Exact inverse of a nonsingular integer matrix: its adjugate over
+    det_int(p).  The inverse of a unimodular matrix comes back as ints."""
+    k = len(p)
+    det = det_int(p)
+    assert det != 0
+
+    def minor(i, j):
+        return [[p[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
+
+    adj = [[(-1) ** (i + j) * det_int(minor(j, i)) for j in range(k)] for i in range(k)]
+    if det in (1, -1):
+        return [[det * x for x in row] for row in adj]
+    return [[Fraction(x, det) for x in row] for row in adj]
 
 
 def apply_matrix(m, v) -> tuple[int, ...]:
@@ -82,7 +82,7 @@ def transported(rng: random.Random, base: Lattice, vectors):
     p^{-1} v, which preserves all pairings, norms and divisibilities.
     """
     p = rand_unimodular(rng, base.rank)
-    pinv = unimodular_inverse(p)
+    pinv = inverse(p)
     lat = Lattice(congruate(base.gram, p))
     return lat, [apply_matrix(pinv, v) for v in vectors]
 
@@ -422,12 +422,6 @@ def brute_force_extreme_rays(rows, n):
         elif all(v <= 0 for v in vals):
             found.add(_primitive([-v for v in vals]))
     return found
-
-
-
-def kernel_basis(rows, n: int):
-    """Basis of {x in Q^n : row . x = 0 for every row}."""
-    return _kernel_from_rref(*rref(rows), n)
 
 
 def same_ray_set(a, b) -> bool:

@@ -1,8 +1,13 @@
 """Library contract checks must survive ``python -O``."""
 import ast
+import random
 from pathlib import Path
 
 import ihscone
+from ihscone import polyhedra
+from ihscone.catalog import parse_type
+from ihscone.engine import EnumerationBound, analyze
+from ihscone.lattice import Lattice
 
 
 def test_library_has_no_assert_statements():
@@ -48,8 +53,8 @@ def test_library_has_no_unused_imports():
 
 def test_fractions_only_where_rationals_are_needed():
     # the shell search, the wall pass and the rank-2 rays decide in
-    # integers; Fraction belongs to rational linear algebra, the alpha
-    # projection and the SVG drawing
+    # integers; Fraction belongs to the Smith-form generator lifts, the
+    # Fourier-Motzkin oracle, the alpha projection and the SVG drawing
     allowed = {"lattice.py", "polyhedra.py", "alphas.py", "svg.py"}
     package = Path(ihscone.__file__).parent
     importers = {
@@ -75,3 +80,28 @@ def test_library_imports_at_module_level():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def test_wall_pass_builds_no_fraction(monkeypatch):
+    # the double description, the integer kernel and the wall test decide
+    # in integers; in polyhedra only the Fourier-Motzkin oracle builds a
+    # Fraction
+    def no_fraction(*args):
+        raise AssertionError("polyhedra built a Fraction")
+
+    monkeypatch.setattr(polyhedra, "Fraction", no_fraction)
+    k3 = parse_type("K3")
+    lattices = [Lattice(((2, 1), (1, -2)))] + [
+        Lattice(tuple(tuple(d if i == j else 0 for j in range(n)) for i, d in enumerate(diag)))
+        for n, diag in ((3, (2, -2, -2)), (4, (2, -2, -2, -2)), (5, (2, -2, -2, -30, -30)))
+    ]
+    for lat in lattices:
+        ample = (1,) + (0,) * (lat.rank - 1)
+        res = analyze(lat, k3, ample, EnumerationBound(max_ample_pairing=4))
+        assert res.chamber_walls
+    rng = random.Random(53)
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+        polyhedra.kernel_basis(rows, n)
+        polyhedra.dd_generators(rows, n)

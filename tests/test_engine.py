@@ -1,9 +1,9 @@
 """Bounded cone analysis: exceptional enumeration, chamber walls, the
 dichotomy verdict, rank-2 boundary rays, finiteness and MDS reports."""
 import dataclasses
+import hashlib
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -32,9 +32,11 @@ from ihscone.lattice import Lattice, det_int, gram_vec, norm, pairing
 from ihscone.polyhedra import dd_generators
 from ihscone.weyl import is_chamber_wall
 from tests.helpers import (
+    _echelon,
     box_oracle,
     duality_round_trip,
     fm_is_wall,
+    inverse,
     reference_profile_levels,
     reference_rank2_rays,
     transported,
@@ -286,6 +288,44 @@ def test_analyze_walls_match_fm_oracle():
     assert 0 < walls
 
 
+def _diag(*entries):
+    return Lattice(tuple(
+        tuple(d if i == j else 0 for j in range(len(entries))) for i, d in enumerate(entries)
+    ))
+
+
+# diag(2, -2, -2, -2, -2) in the basis p = I + e01 - e04 + 2 e12 - e23 + e34
+SHEARED5 = Lattice(((2, 2, 0, 0, -2), (2, 0, -4, 0, -2), (0, -4, -10, 2, 0),
+                    (0, 0, 2, -4, -2), (-2, -2, 0, -2, -2)))
+
+# (lattice, type, ample, bound, wall count, sha256 of repr(chamber_walls))
+WALL_PINS = [
+    (_diag(2, -2, -2, -2, -2, -2), K3, (3, 1, 1, 0, 0, 0), 12, 35,
+     "d34b7364e4aed0f06a4e6b2dfe835370dac2c5d960ae0bd3742e2377f0a9e273"),
+    (SHEARED5, parse_type("K3[n]", 2), (1, 1, 0, 0, 0), 8, 19,
+     "2f14d9749ad7d958f08e4b0607f9da764e20573438d4aeeaa7c09a0871341bb2"),
+    # classes up to bound 6 avoid the norm -30 directions: lineality of rank 2
+    (_diag(2, -2, -2, -2, -30, -30), K3, (1, 0, 0, 0, 0, 0), 6, 12,
+     "74bebd2ffaaca98104f27fde413d283ac97b046c6e6264032773446adfa8fbf5"),
+    (_diag(4, -2, -2, -2, -2, -6, -6), parse_type("OG10"), (1, 0, 0, 0, 0, 0, 0), 6, 36,
+     "187470b54940063826dee0661f65ae59a898a62f1f8148a397ac76000abd7d33"),
+]
+
+
+def test_chamber_walls_pinned_at_rank_5_to_7():
+    # the CI digests stop at rank 5 and the golden report bytes at rank 4;
+    # these wall sets were computed before the double description dropped
+    # its Fraction elimination, and must not move with its integer steps
+    lineality_ranks = []
+    for lat, t, ample, bound, count, digest in WALL_PINS:
+        res = analyze(lat, t, ample, EnumerationBound(max_ample_pairing=bound))
+        assert len(res.chamber_walls) == count
+        assert hashlib.sha256(repr(res.chamber_walls).encode()).hexdigest() == digest
+        rows = [gram_vec(lat, c) for c in res.exceptional_found + (ample,)]
+        lineality_ranks.append(lat.rank - len(_echelon(rows, lat.rank)[0]))
+    assert lineality_ranks == [0, 0, 2, 0]
+
+
 def test_classify_rank2_requires_rank2():
     with pytest.raises(PreconditionError):
         classify_rank2(K3_RANK3, K3, AMPLE3)
@@ -409,18 +449,6 @@ def _random_positive_definite(rng, k):
             return p
 
 
-def _inverse(p):
-    # adjugate over the determinant, exact
-    k = len(p)
-    det = det_int(p)
-
-    def minor(i, j):
-        return [[p[r][c] for c in range(k) if c != j] for r in range(k) if r != i]
-
-    return [[Fraction((-1) ** (i + j) * det_int(minor(j, i)), det) for j in range(k)]
-            for i in range(k)]
-
-
 def test_shell_points_matches_brute_force():
     # z^T p z - 2 b.z = c is the ellipsoid (z - m)^T p (z - m) = R with
     # m = p^-1 b and R = c + b.m, whose bounding box is
@@ -432,7 +460,7 @@ def test_shell_points_matches_brute_force():
         p = _random_positive_definite(rng, k)
         b = [rng.randint(-3, 3) for _ in range(k)]
         c = rng.randint(-6, 30)
-        inv = _inverse(p)
+        inv = inverse(p)
         m = [sum(inv[i][j] * b[j] for j in range(k)) for i in range(k)]
         radius = c + sum(bi * mi for bi, mi in zip(b, m))
         box = [()]

@@ -229,8 +229,10 @@ def test_is_chamber_wall_ignores_proportional_duplicates():
 
 
 def test_is_chamber_wall_matches_fm_oracle():
+    # fewer independent rows than the rank leave C a lineality space, and
+    # the face on candidate-perp then has rank n - 1 only with its help
     rng = random.Random(2718)
-    checked = 0
+    checked = nonpointed = 0
     while checked < 40:
         rank = rng.randint(2, 4)
         base = Lattice(rand_diag_gram(rng, rank, pos_max=3, neg_max=3))
@@ -248,3 +250,5 @@ def test_is_chamber_wall_matches_fm_oracle():
         for c in roots:
             assert is_chamber_wall(lat, c, lin, rays) == fm_is_wall(lat, roots, c, ample)
         checked += 1
+        nonpointed += bool(lin)
+    assert nonpointed >= 10
