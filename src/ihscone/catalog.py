@@ -104,18 +104,28 @@ def expected_disc_group(t: DeformationType) -> tuple[int, ...]:
     return (2 * (t.n + 1),)
 
 
-def matches_profile(L: Lattice, t: DeformationType, v: Sequence[int]) -> bool:
-    """Norm equals a profile square and the profile divisibility divides
-    the divisibility computed in L.
+def profile_table(t: DeformationType) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Profiles of t as (square, sorted divisibilities), squares ascending."""
+    table: dict[int, set[int]] = {}
+    for p in profiles(t):
+        table.setdefault(p.square, set()).add(p.div)
+    return tuple((square, tuple(sorted(divs))) for square, divs in sorted(table.items()))
 
-    The catalog divisibilities are full-lattice invariants; inside the
-    Picard lattice the pairing ideal can only shrink, so the computed
-    divisibility is a positive multiple of the catalog value.
-    """
+
+def div_matches(div_value: int, allowed: Sequence[int]) -> bool:
+    """Some allowed profile divisibility divides div_value: the catalog
+    values are full-lattice invariants, and inside the Picard lattice the
+    pairing ideal can only shrink, so the computed value is a multiple."""
+    return any(div_value % d == 0 for d in allowed)
+
+
+def matches_profile(L: Lattice, t: DeformationType, v: Sequence[int]) -> bool:
+    """Norm equals a profile square, and `div_matches` accepts the
+    divisibility computed in L for that square's profiles."""
     w = L.check_vector(v)
     s = norm(L, w)
     d = divisibility(L, w)
-    return any(p.square == s and d % p.div == 0 for p in profiles(t))
+    return any(square == s and div_matches(d, divs) for square, divs in profile_table(t))
 
 
 def is_numerically_exceptional(

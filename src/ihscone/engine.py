@@ -14,8 +14,8 @@ Gram-times-kernel rows, the pairing-g translate, the profile table) is
 built once per lattice in a `_ShellFrame`, so each point costs a few dot
 products and two gcds.
 
-Chamber walls come from one double-description pass over the found
-classes and the ample class. The `analyze` docstring proves that those
+Chamber walls come from the incidence of one double-description pass over
+the found classes and the ample class. The `analyze` docstring proves those
 walls are already the extremal rays of the pseudo-effective candidate,
 dual to the movable half-spaces, so no second pass checks it, and
 `ConeAnalysis.chamber_walls` is all three lists. Each result type holds
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, fields
 from operator import mul
 from typing import Optional, Sequence
 
-from .catalog import DeformationType, profiles
+from .catalog import DeformationType, div_matches, profile_table
 from .errors import (
     BoundExceededError,
     ContractViolationError,
@@ -223,19 +223,6 @@ def _ample_frame(lattice: Lattice, ample: Vec):
     return g, x_unit, kernel
 
 
-def _profile_div_table(t: DeformationType) -> dict[int, tuple[int, ...]]:
-    table: dict[int, list[int]] = {}
-    for prof in profiles(t):
-        table.setdefault(prof.square, []).append(prof.div)
-    return {s: tuple(sorted(set(ds))) for s, ds in table.items()}
-
-
-def _div_matches(div_value: int, allowed: tuple[int, ...]) -> bool:
-    # Picard-lattice divisibility is a multiple of the ambient one, so a
-    # profile divisor is matched whenever it divides the computed value.
-    return any(div_value % d == 0 for d in allowed)
-
-
 def _check_analysis_input(lattice: Lattice, ample: Vec) -> None:
     sig = signature(lattice)
     if sig != (1, lattice.rank - 1):
@@ -258,8 +245,7 @@ class _ShellFrame:
     of G K (so a coordinate of K z or of G K z is one dot product with z),
     p_matrix is the positive definite -K^T G K, x_unit,
     gram_x_unit = G x_unit, b_unit = K^T G x_unit and c_unit = norm(x_unit)
-    describe the pairing-g translate, and div_table is
-    `_profile_div_table(t)` sorted by square.
+    describe the pairing-g translate, and div_table is `profile_table(t)`.
     """
 
     g: int
@@ -287,7 +273,7 @@ def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFram
         gram_x_unit=gram_x_unit,
         b_unit=tuple(dot(u, gram_x_unit) for u in kernel),
         c_unit=dot(x_unit, gram_x_unit),
-        div_table=tuple(sorted(_profile_div_table(t).items())),
+        div_table=profile_table(t),
     )
 
 
@@ -316,7 +302,7 @@ def _profile_classes(frame: _ShellFrame, m: int):
             if math.gcd(*v) != 1:
                 continue
             div = math.gcd(*[x + sum(map(mul, z, row)) for x, row in gram_v_rows])
-            if _div_matches(div, allowed):
+            if div_matches(div, allowed):
                 yield v
 
 
@@ -484,7 +470,7 @@ def analyze(
 
     Enumerate classes; decide the dichotomy verdict; on the polyhedral branch
     compute the chamber's generators with one double-description pass and
-    read off the walls; at rank 2 attach the boundary-ray report.
+    read the walls off its incidence; at rank 2 attach the boundary-ray report.
     `finiteness_report` and `mds_classify` derive the other reports.
 
     The walls need no second pass to be the extremal rays, because duality
@@ -529,8 +515,8 @@ def analyze(
                 f"lattice has rank {n}"
             )
         rows = [gram_vec(lattice, c) for c in classes] + [gram_vec(lattice, ample)]
-        lineality, rays = dd_generators(rows, n)
-        walls = tuple(c for c in classes if is_chamber_wall(lattice, c, lineality, rays))
+        _, _, incidence = dd_generators(rows, n)
+        walls = tuple(c for i, c in enumerate(classes) if is_chamber_wall(incidence, i))
         verdict = VERDICT_POLYHEDRAL
         if len(walls) < n:
             notes.append(

@@ -1,10 +1,10 @@
-"""Exact polyhedral-cone routines at small rank: integer kernels, double
-description, ray canonicalization, and Fourier-Motzkin feasibility.
+"""Exact polyhedral-cone routines at small rank: double description, ray
+canonicalization, and Fourier-Motzkin feasibility.
 
 dd_generators is the library's one polyhedral engine, and `engine.analyze`
-calls it once per polyhedral analysis.  It and kernel_basis run over the
-integers: their one elimination step, _cut, replaces each vector of a
-lattice basis by a primitive integer combination.  fm_satisfiable is kept
+calls it once per polyhedral analysis.  It runs over the integers: its
+one elimination step, _cut, replaces each vector of a lattice basis by a
+primitive integer combination.  fm_satisfiable is kept
 as the independent oracle the tests check wall detection against; no
 library code calls it, and it and _canon_constraint are the only
 Fraction code here.  Nothing here knows about lattices or bilinear forms.
@@ -106,26 +106,17 @@ def _cut(a: Sequence[int], basis: list[tuple[int, ...]]):
     return None
 
 
-def kernel_basis(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of {x in Q^n : a . x = 0 for every row a}."""
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    for a in rows:
-        cut = _cut(a, basis)
-        if cut is not None:
-            basis = cut[2]
-    return basis
-
-
-def dd_generators(ineq_rows: Sequence[Sequence[int]], n: int):
+def dd_generators(rows: Sequence[Sequence[int]], n: int):
     """Generators of the cone {x in R^n : a . x >= 0 for each row a}.
 
-    Returns (lineality_basis, extreme_rays), both lists of primitive
-    integer tuples; the cone is the set of lineality combinations plus
-    nonnegative ray combinations.
+    Returns (lineality_basis, extreme_rays, incidence): primitive integer
+    tuples whose lineality combinations plus nonnegative ray combinations
+    are the cone, and incidence[i], the bitmask of the rays tight on
+    rows[i].  Rows are used as given: a zero row is tight on every ray.
 
     Motzkin's double description over the integers, started from the
-    whole space: no rays, and the unit vectors as lineality basis.  Rows
-    and rays are primitive integer vectors, and each ray carries the
+    whole space: no rays, and the unit vectors as lineality basis.  Rays
+    are primitive integer vectors, and each ray carries the
     bitmask of the inserted rows it is tight on.  A row a that does not
     vanish on the lineality space cuts it (see _cut): the pivot l0 becomes
     a ray, tight on every earlier row, and each old ray moves along l0
@@ -137,8 +128,7 @@ def dd_generators(ineq_rows: Sequence[Sequence[int]], n: int):
     members, and no third ray's tight set contains it.  Adjacent pairs
     give exactly the new extreme rays, so nothing needs pruning.
     """
-    rows = [canonical_ray(r) for r in ineq_rows if any(r)]
-    lin = kernel_basis((), n)
+    lin = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     rays: list[tuple[int, ...]] = []
     tight: list[int] = []
     for i, a in enumerate(rows):
@@ -166,4 +156,9 @@ def dd_generators(ineq_rows: Sequence[Sequence[int]], n: int):
                 next_rays.append(canonical_ray([vp * x - vn * y for x, y in zip(rays[q], rays[p])]))
                 next_tight.append(common | (1 << i))
         rays, tight = next_rays, next_tight
-    return lin, rays
+    incidence = [0] * len(rows)
+    for k, t in enumerate(tight):
+        while t:
+            incidence[(t & -t).bit_length() - 1] |= 1 << k
+            t &= t - 1
+    return lin, rays, incidence

@@ -4,7 +4,7 @@ The group generated by reflections in the numerically exceptional
 classes acts on the positive cone; weyl_reduce moves a class into the
 fundamental chamber (nonnegative pairing with every root) and
 is_chamber_wall reads off, from the chamber's double-description
-generators, which root hyperplanes actually support facets of it.
+incidence, which root hyperplanes actually support facets of it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .errors import (
     PreconditionError,
 )
 from .lattice import Lattice, Vec, gram_vec, norm, pairing
-from .polyhedra import dot, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -130,32 +129,22 @@ def weyl_reduce(
         steps += 1
 
 
-def is_chamber_wall(
-    L: Lattice,
-    candidate: Sequence[int],
-    lineality: Sequence[Sequence[int]],
-    rays: Sequence[Sequence[int]],
-) -> bool:
-    """Does the candidate's orthogonal hyperplane support a facet of the
-    chamber C = {x : pairing(x, r) >= 0 for every root r, pairing(x, ample) >= 0}?
+def is_chamber_wall(incidence: Sequence[int], i: int) -> bool:
+    """Does row i support a facet of the chamber
+    C = {x : pairing(x, r) >= 0 for every root r, pairing(x, ample) >= 0}?
 
-    lineality and rays are C's generators from dd_generators, and the
-    candidate is one of the roots, so C lies on one side of
-    candidate-perp.  The face C meet candidate-perp is then spanned by the
-    lineality basis and the rays that pair to zero with the candidate, so
-    it is a facet exactly when those vectors have rank n - 1: when the
-    integer kernel of those vectors, taken as rows, is a line.
-
-    This is the strict system pairing(x, candidate) = 0, pairing(x, r) > 0
-    for every other root r, pairing(x, ample) > 0, whenever the roots are
-    primitive and pair positively with an ample class of positive norm:
-    the ample class then pairs > 0 with every row, itself included, so C
-    is full-dimensional, and no two rows are proportional, so
-    candidate-perp meets {every other row > 0} exactly when it cuts C in a
-    facet.  The ample inequality is the linear stand-in for membership in
-    the positive cone on the ample side; every genuine facet point
-    satisfies it, and at rank 2 the two conditions agree outright.
+    incidence[j], from `dd_generators` on C's rows, is the bitmask of the
+    extreme rays tight on row j.  Let the rows be nonzero and C
+    full-dimensional, as in `engine.analyze`, where the ample class pairs
+    positively with every row.  Then row j cuts out a proper face spanned
+    by the lineality space and the rays of incidence[j], so faces contain
+    each other exactly as their ray sets do.  The facets are the maximal
+    proper faces, each cut out by some row (Ziegler 1995, ch. 2), so row i
+    is a wall iff no incidence[j] strictly contains incidence[i];
+    proportional rows have equal sets and are both walls.  The ample
+    inequality is the linear stand-in for membership in the positive cone
+    on the ample side: every genuine facet point satisfies it, and at
+    rank 2 the two conditions agree outright.
     """
-    c = gram_vec(L, L.check_vector(candidate))
-    tight = [u for u in rays if dot(c, u) == 0]
-    return len(kernel_basis(list(lineality) + tight, L.rank)) == 1
+    s = incidence[i]
+    return not any(s & t == s != t for t in incidence)

@@ -437,7 +437,7 @@ def duality_round_trip(lat: Lattice, walls) -> bool:
     walls again. `engine.analyze` proves this instead of computing it.
     """
     n = lat.rank
-    lineality, generators = dd_generators([gram_vec(lat, w) for w in walls], n)
+    lineality, generators, _ = dd_generators([gram_vec(lat, w) for w in walls], n)
     for w in walls:
         if any(pairing(lat, w, gen) < 0 for gen in generators):
             return False
@@ -448,8 +448,17 @@ def duality_round_trip(lat: Lattice, walls) -> bool:
         row = gram_vec(lat, lin)
         dual_rows.append(row)
         dual_rows.append(tuple(-x for x in row))
-    lin2, rays2 = dd_generators(dual_rows, n)
+    lin2, rays2, _ = dd_generators(dual_rows, n)
     return not lin2 and same_ray_set(rays2, walls)
+
+
+def rank_is_wall(lineality, rays, row) -> bool:
+    """Wall test by rank: row-perp cuts the full-dimensional cone with
+    these generators in a facet iff the lineality basis and the rays
+    tight on row span a space of dimension n - 1."""
+    n = len(row)
+    tight = [u for u in rays if sum(a * b for a, b in zip(row, u)) == 0]
+    return len(_echelon(list(lineality) + tight, n)[0]) == n - 1
 
 
 def fm_is_wall(lat: Lattice, roots, candidate, ample) -> bool:

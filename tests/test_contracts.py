@@ -103,5 +103,4 @@ def test_wall_pass_builds_no_fraction(monkeypatch):
     for _ in range(50):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 6))]
-        polyhedra.kernel_basis(rows, n)
         polyhedra.dd_generators(rows, n)

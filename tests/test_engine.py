@@ -37,6 +37,7 @@ from tests.helpers import (
     duality_round_trip,
     fm_is_wall,
     inverse,
+    rank_is_wall,
     reference_profile_levels,
     reference_rank2_rays,
     transported,
@@ -426,8 +427,8 @@ def test_duality_oracle_holds_on_seeded_corpus():
         assert duality_round_trip(lat, res.chamber_walls)
         if res.exceptional_found:
             rows = [gram_vec(lat, c) for c in res.exceptional_found + (ample,)]
-            lineality, rays = dd_generators(rows, rank)
-            ample_facets += is_chamber_wall(lat, ample, lineality, rays)
+            _, _, incidence = dd_generators(rows, rank)
+            ample_facets += is_chamber_wall(incidence, len(rows) - 1)
         else:
             assert res.verdict == "CircularUpToBound"
             circular += 1
@@ -436,6 +437,35 @@ def test_duality_oracle_holds_on_seeded_corpus():
     assert len(seen_types) == 6
     assert ample_facets >= 10
     assert circular >= 5
+
+
+def test_chamber_walls_match_rank_oracle_at_rank_5_to_7():
+    # Fourier-Motzkin is too slow at this rank; `rank_is_wall` decides
+    # each row of the chamber by a rank over Q on the same generators, and
+    # must agree on every class and on the ample row. Non-walls whose face
+    # holds rays are where strict containment of ray sets, not emptiness,
+    # decides.
+    rng = random.Random(3)
+    types = [K3, parse_type("K3[n]", 2), parse_type("K3[n]", 3), parse_type("Kum[n]", 2),
+             parse_type("OG6"), parse_type("OG10")]
+    analyses = nonwall_with_rays = 0
+    while analyses < 12:
+        t = rng.choice(types)
+        p = rng.choice(profiles(t))
+        rank = rng.randint(5, 7)
+        base = _profile_block_lattice(rng, t, p, rank)
+        lat, (ample,) = transported(rng, base, [(1,) + (0,) * (rank - 1)])
+        res = analyze(lat, t, ample, EnumerationBound(max_ample_pairing={5: 6, 6: 5, 7: 4}[rank]))
+        if not res.exceptional_found:
+            continue
+        rows = [gram_vec(lat, c) for c in res.exceptional_found + (ample,)]
+        lineality, rays, incidence = dd_generators(rows, rank)
+        oracle = [rank_is_wall(lineality, rays, row) for row in rows]
+        assert [is_chamber_wall(incidence, i) for i in range(len(rows))] == oracle
+        assert res.chamber_walls == tuple(c for c, w in zip(res.exceptional_found, oracle) if w)
+        nonwall_with_rays += sum(1 for w, tight in zip(oracle, incidence) if not w and tight)
+        analyses += 1
+    assert nonwall_with_rays >= 300
 
 
 def _random_positive_definite(rng, k):

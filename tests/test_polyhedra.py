@@ -1,5 +1,5 @@
-"""Exact cone machinery: Fourier-Motzkin, integer kernels, double
-description, ray canonicalization."""
+"""Exact cone machinery: Fourier-Motzkin, double description and its
+incidence, ray canonicalization."""
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 from tests.helpers import _echelon, brute_force_extreme_rays, same_ray_set
-from ihscone.polyhedra import canonical_ray, dd_generators, fm_satisfiable, kernel_basis
+from ihscone.polyhedra import canonical_ray, dd_generators, fm_satisfiable
 
 F = Fraction
 
@@ -58,63 +58,40 @@ def test_fm_mixed_strictness_propagates():
     assert not fm_satisfiable(rows, 2)
 
 
-def test_kernel_basis_frozen():
-    assert kernel_basis([[1, 2, 3], [4, 5, 6]], 3) == [(1, -2, 1)]
-    assert kernel_basis([], 2) == [(1, 0), (0, 1)]
-    assert kernel_basis([[0, 0]], 2) == [(1, 0), (0, 1)]
-    assert kernel_basis([[2, 4]], 2) == [(-2, 1)]
-    assert kernel_basis([[1, 1], [1, -1]], 2) == []
-
-
-def test_kernel_basis_random():
-    rng = random.Random(9)
-    for _ in range(40):
-        n = rng.randint(1, 5)
-        m = rng.randint(0, 4)
-        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-        basis = kernel_basis(rows, n)
-        assert len(basis) == n - len(_echelon(rows, n)[0])
-        assert len(_echelon(basis, n)[0]) == len(basis)
-        for v in basis:
-            assert gcd(*v) == 1
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
-
-
 def test_dd_generators_orthant():
-    lin, rays = dd_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
+    lin, rays, _ = dd_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 3)
     assert lin == []
     assert same_ray_set(rays, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_dd_generators_halfplane():
-    lin, rays = dd_generators([(1, 0)], 2)
+    lin, rays, _ = dd_generators([(1, 0)], 2)
     assert same_ray_set(lin, [(0, 1)])
     assert same_ray_set(rays, [(1, 0)])
 
 
 def test_dd_generators_no_constraints():
-    lin, rays = dd_generators([], 2)
+    lin, rays, _ = dd_generators([], 2)
     assert len(lin) == 2 and rays == []
 
 
 def test_dd_generators_plane_cone():
-    lin, rays = dd_generators([(0, 1), (2, -1)], 2)
+    lin, rays, _ = dd_generators([(0, 1), (2, -1)], 2)
     assert lin == []
     assert same_ray_set(rays, [(1, 0), (1, 2)])
     # a redundant halfplane changes nothing
-    lin2, rays2 = dd_generators([(0, 1), (2, -1), (1, 1)], 2)
+    lin2, rays2, _ = dd_generators([(0, 1), (2, -1), (1, 1)], 2)
     assert lin2 == [] and same_ray_set(rays, rays2)
 
 
 def test_dd_generators_line():
-    lin, rays = dd_generators([(1, 0), (-1, 0)], 2)
+    lin, rays, _ = dd_generators([(1, 0), (-1, 0)], 2)
     assert same_ray_set(lin, [(0, 1)])
     assert rays == []
 
 
 def test_dd_generators_nonpointed_3d():
-    lin, rays = dd_generators([(1, 0, 0)], 3)
+    lin, rays, _ = dd_generators([(1, 0, 0)], 3)
     assert len(lin) == 2 and same_ray_set(rays, [(1, 0, 0)])
     for v in lin:
         assert v[0] == 0
@@ -132,7 +109,7 @@ def test_dd_generators_redundancy_and_soundness_random():
                 rows.append(tuple(row))
         if not rows:
             continue
-        lin, rays = dd_generators(rows, n)
+        lin, rays, _ = dd_generators(rows, n)
         for u in rays:
             assert any(x != 0 for x in u)
             for row in rows:
@@ -142,13 +119,13 @@ def test_dd_generators_redundancy_and_soundness_random():
                 assert sum(a * b for a, b in zip(row, u)) == 0
         # scaling rows is immaterial
         scaled = [tuple(2 * x for x in row) for row in rows]
-        lin2, rays2 = dd_generators(scaled, n)
+        lin2, rays2, _ = dd_generators(scaled, n)
         assert same_ray_set(rays, rays2)
         assert len(lin) == len(lin2)
 
 
 def test_dd_generators_rays_are_primitive():
-    _, rays = dd_generators([(0, 2), (4, -2)], 2)
+    _, rays, _ = dd_generators([(0, 2), (4, -2)], 2)
     assert rays
     for u in rays:
         assert gcd(*u) == 1
@@ -174,7 +151,7 @@ def test_dd_generators_complete_random():
                 continue
             coeffs = [rng.randint(-2, 2) for _ in range(k)]
             rows.append(tuple(sum(c * v[j] for c, v in zip(coeffs, span)) for j in range(n)))
-        lin, rays = dd_generators(rows, n)
+        lin, rays, _ = dd_generators(rows, n)
         ranks = [len(_echelon(rows[:i], n)[0]) for i in range(len(rows) + 1)]
         assert len(lin) == n - ranks[-1]
         nonpointed += bool(lin)
@@ -186,6 +163,33 @@ def test_dd_generators_complete_random():
     assert cut_after_step >= 30
 
 
+def test_dd_generators_incidence_matches_brute_force():
+    # incidence is indexed by input row: a zero row keeps its place and is
+    # tight on every ray, and a scaled copy has its original's set
+    rng = random.Random(1978)
+    zero_rows = copies = rays_seen = 0
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        rows = []
+        for _ in range(rng.randint(1, 7)):
+            pick = rng.random()
+            if pick < 0.15:
+                rows.append((0,) * n)
+                zero_rows += 1
+            elif rows and pick < 0.35:
+                rows.append(tuple(rng.randint(1, 3) * x for x in rng.choice(rows)))
+                copies += 1
+            else:
+                rows.append(tuple(rng.randint(-2, 2) for _ in range(n)))
+        _, rays, incidence = dd_generators(rows, n)
+        assert len(incidence) == len(rows)
+        for row, tight in zip(rows, incidence):
+            zeros = [k for k, u in enumerate(rays) if sum(a * b for a, b in zip(row, u)) == 0]
+            assert tight == sum(1 << k for k in zeros)
+        rays_seen += len(rays)
+    assert zero_rows >= 30 and copies >= 30 and rays_seen >= 300
+
+
 def test_dd_generators_repeated_facet_adjacency():
     # cone over a cube whose facet x0 + x3 >= 0 is given twice, cut last
     # by x0 + x1 + x2 >= 0.  Diagonal corners of that square facet share
@@ -194,7 +198,7 @@ def test_dd_generators_repeated_facet_adjacency():
     # adjacent.  Combining them would add the facet's centre as a ray.
     rows = [(1, 1, 0, 0), (1, -1, 0, 0), (1, 0, 1, 0), (1, 0, -1, 0),
             (1, 0, 0, 1), (2, 0, 0, 2), (1, 0, 0, -1), (1, 1, 1, 0)]
-    lin, rays = dd_generators(rows, 4)
+    lin, rays, _ = dd_generators(rows, 4)
     assert lin == []
     corners = [(1, a, b, s) for a in (1, -1) for b in (1, -1) for s in (1, -1) if (a, b) != (-1, -1)]
     cuts = [(1, 0, -1, s) for s in (1, -1)] + [(1, -1, 0, s) for s in (1, -1)]

@@ -214,31 +214,37 @@ def _chamber(L, roots, ample):
 
 
 def test_is_chamber_wall_frozen():
-    lin, rays = _chamber(DENSE, DENSE_ROOTS, (1, 0))
-    assert is_chamber_wall(DENSE, (0, 1), lin, rays)
-    assert is_chamber_wall(DENSE, (1, -1), lin, rays)
-    assert not is_chamber_wall(DENSE, (1, 2), lin, rays)
-    assert not is_chamber_wall(DENSE, (3, -2), lin, rays)
+    _, _, incidence = _chamber(DENSE, DENSE_ROOTS, (1, 0))
+    # rows (0, 1), (1, -1), (1, 2), (3, -2), then the ample class
+    assert is_chamber_wall(incidence, 0)
+    assert is_chamber_wall(incidence, 1)
+    assert not is_chamber_wall(incidence, 2)
+    assert not is_chamber_wall(incidence, 3)
     # a single root is always a wall
-    assert is_chamber_wall(DIAG, (0, 1), *_chamber(DIAG, ((0, 1),), (1, 0)))
+    assert is_chamber_wall(_chamber(DIAG, ((0, 1),), (1, 0))[2], 0)
 
 
 def test_is_chamber_wall_ignores_proportional_duplicates():
+    # (0, 1) and (0, 2) cut out the same facet: equal sets, both walls
     roots = DENSE_ROOTS + ((0, 2),)
-    assert is_chamber_wall(DENSE, (0, 1), *_chamber(DENSE, roots, (1, 0)))
+    _, _, incidence = _chamber(DENSE, roots, (1, 0))
+    assert incidence[0] == incidence[4]
+    assert is_chamber_wall(incidence, 0)
+    assert is_chamber_wall(incidence, 4)
 
 
 def test_is_chamber_wall_matches_fm_oracle():
     # fewer independent rows than the rank leave C a lineality space, and
-    # the face on candidate-perp then has rank n - 1 only with its help
+    # then a facet may hold no ray at all; for a non-wall whose face holds
+    # rays, strict containment of ray sets, not emptiness, decides
     rng = random.Random(2718)
-    checked = nonpointed = 0
-    while checked < 40:
-        rank = rng.randint(2, 4)
+    checked = nonpointed = nonwall_with_rays = 0
+    while checked < 80:
+        rank = rng.randint(2, 5)
         base = Lattice(rand_diag_gram(rng, rank, pos_max=3, neg_max=3))
         lat, (ample,) = transported(rng, base, [(1,) + (0,) * (rank - 1)])
         roots = set()
-        for _ in range(rng.randint(1, 6)):
+        for _ in range(rng.randint(1, 10)):
             v = rand_primitive(rng, rank, span=3)
             p = pairing(lat, v, ample)
             if p != 0 and norm(lat, v) < 0:
@@ -246,9 +252,12 @@ def test_is_chamber_wall_matches_fm_oracle():
         if not roots:
             continue
         roots = sorted(roots)
-        lin, rays = _chamber(lat, roots, ample)
-        for c in roots:
-            assert is_chamber_wall(lat, c, lin, rays) == fm_is_wall(lat, roots, c, ample)
+        lin, _, incidence = _chamber(lat, roots, ample)
+        for i, c in enumerate(roots):
+            wall = is_chamber_wall(incidence, i)
+            assert wall == fm_is_wall(lat, roots, c, ample)
+            nonwall_with_rays += not wall and incidence[i] != 0
         checked += 1
         nonpointed += bool(lin)
     assert nonpointed >= 10
+    assert nonwall_with_rays >= 5
