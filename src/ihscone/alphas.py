@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from .catalog import DeformationType, Kind, matches_profile
+from .catalog import DeformationType, Kind, expected_disc_group, matches_profile
 from .errors import ContractViolationError, PreconditionError
 from .lattice import Lattice, Vec, divisibility, disc_class, is_primitive, norm, pairing
 from .pell import PellSolution, fundamental_solution, is_perfect_square, second_solution
@@ -155,8 +155,8 @@ def alpha_effective(ctx: AlphaContext, t: DeformationType) -> AlphaResult:
         )
     if t.kind in (Kind.K3N, Kind.KUMN):
         sol = second_solution(ctx.N)
-        # theorem: t | N, so x2 = 1 + 2*N*y1^2 = 1 mod 2*(catalog modulus)
-        modulus = 2 * (t.n - 1) if t.kind is Kind.K3N else 2 * (t.n + 1)
+        # theorem: t | N, so x2 = 1 + 2*N*y1^2 = 1 mod the disc group's order
+        (modulus,) = expected_disc_group(t)
         if sol.x % modulus != 1 % modulus:
             raise ContractViolationError(
                 "second Pell solution is not 1 mod %d" % modulus

@@ -32,15 +32,10 @@ from .engine import (
     finiteness_report,
     mds_classify,
 )
-from .errors import (
-    BoundExceededError,
-    ContractViolationError,
-    IHSConeError,
-    InputFormatError,
-    PreconditionError,
-)
+from .errors import BoundExceededError, IHSConeError, InputFormatError, PreconditionError
 from .lattice import Lattice, Vec, discriminant_group, norm, signature
 from .pell import (
+    INDEX_CAP,
     fundamental_solution,
     is_perfect_square,
     second_solution,
@@ -74,6 +69,28 @@ def _load_json(text: str) -> Any:
         raise InputFormatError(f"malformed JSON: {exc}") from exc
     except ValueError as exc:
         raise InputFormatError(_digit_limit_message("an integer literal")) from exc
+
+
+def _read_document(text: str, allowed: set[str], required: tuple[str, ...]) -> dict:
+    """The JSON object of an input document, with no unknown field and
+    the required fields present; they are checked in the order given."""
+    doc = _load_json(text)
+    if not isinstance(doc, dict):
+        raise InputFormatError("input document must be a JSON object")
+    unknown = sorted(set(doc) - allowed)
+    if unknown:
+        raise InputFormatError(f"unknown input fields: {', '.join(unknown)}")
+    for name in required:
+        if name not in doc:
+            raise InputFormatError(f"missing required field '{name}'")
+    return doc
+
+
+def _label(doc: dict) -> Optional[str]:
+    label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise InputFormatError("label: expected a string")
+    return label
 
 
 def _as_int(value: Any, where: str) -> int:
@@ -145,17 +162,7 @@ _BOUND_FIELDS = {f.name for f in fields(EnumerationBound)}
 
 def parse_input(text: str) -> InputSpec:
     """Validate a lattice analysis document."""
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise InputFormatError("input document must be a JSON object")
-    unknown = sorted(set(doc) - _LATTICE_FIELDS)
-    if unknown:
-        raise InputFormatError(f"unknown input fields: {', '.join(unknown)}")
-    if "gram" not in doc:
-        raise InputFormatError("missing required field 'gram'")
-    if "type" not in doc:
-        raise InputFormatError("missing required field 'type'")
-
+    doc = _read_document(text, _LATTICE_FIELDS, ("gram", "type"))
     raw = doc["gram"]
     if not isinstance(raw, list) or not raw or not all(isinstance(r, list) for r in raw):
         raise InputFormatError("gram: expected a list of integer rows")
@@ -171,10 +178,7 @@ def parse_input(text: str) -> InputSpec:
         raise InputFormatError("type: expected a tag string")
     n_param = _as_int(doc["n"], "n") if doc.get("n") is not None else None
     dtype = parse_type(tag, n_param)
-
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise InputFormatError("label: expected a string")
+    label = _label(doc)
 
     bound = EnumerationBound()
     if "bound" in doc:
@@ -190,11 +194,10 @@ def parse_input(text: str) -> InputSpec:
         except PreconditionError as exc:
             raise InputFormatError(f"bound: {exc}") from exc
 
-    ample = _as_vector(doc["ample"], "ample", n_rank) if doc.get("ample") is not None else None
-    vector = _as_vector(doc["vector"], "vector", n_rank) if doc.get("vector") is not None else None
-    d_class = _as_vector(doc["D"], "D", n_rank) if doc.get("D") is not None else None
-    e_class = _as_vector(doc["E"], "E", n_rank) if doc.get("E") is not None else None
-
+    ample, vector, d_class, e_class = (
+        _as_vector(doc[key], key, n_rank) if doc.get(key) is not None else None
+        for key in ("ample", "vector", "D", "E")
+    )
     lattice = Lattice(tuple(rows), label=label or "")
     return InputSpec(
         lattice=lattice,
@@ -217,12 +220,9 @@ def _echo(spec: InputSpec) -> dict:
         "label": spec.label,
         "bound": asdict(spec.bound),
     }
-    if spec.vector is not None:
-        doc["vector"] = list(spec.vector)
-    if spec.d_class is not None:
-        doc["D"] = list(spec.d_class)
-    if spec.e_class is not None:
-        doc["E"] = list(spec.e_class)
+    for key, vec in (("vector", spec.vector), ("D", spec.d_class), ("E", spec.e_class)):
+        if vec is not None:
+            doc[key] = list(vec)
     return doc
 
 
@@ -242,17 +242,8 @@ def _require_ample(spec: InputSpec) -> Vec:
 
 
 def _ray_json(desc: RayDescriptor) -> dict:
-    if desc.rational:
-        return {"rational": True, "vector": list(desc.vector), "display": desc.display()}
-    return {
-        "rational": False,
-        "num_const": desc.num_const,
-        "sign": desc.sign,
-        "delta": desc.delta,
-        "den": desc.den,
-        "orientation": desc.orientation,
-        "display": desc.display(),
-    }
+    doc = {k: v for k, v in asdict(desc).items() if v is not None}
+    return {**doc, "display": desc.display()}
 
 
 def _rank2_json(report: Optional[Rank2Report]) -> Optional[dict]:
@@ -377,23 +368,14 @@ _PELL_FIELDS = {"n", "modulus", "residue", "index_cap", "label"}
 
 
 def run_pell(text: str) -> dict:
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise InputFormatError("input document must be a JSON object")
-    unknown = sorted(set(doc) - _PELL_FIELDS)
-    if unknown:
-        raise InputFormatError(f"unknown input fields: {', '.join(unknown)}")
-    if "n" not in doc:
-        raise InputFormatError("missing required field 'n'")
+    doc = _read_document(text, _PELL_FIELDS, ("n",))
     n = _as_int(doc["n"], "n")
-    label = doc.get("label")
-    if label is not None and not isinstance(label, str):
-        raise InputFormatError("label: expected a string")
+    label = _label(doc)
     has_mod = doc.get("modulus") is not None
     has_res = doc.get("residue") is not None
     if has_mod != has_res:
         raise InputFormatError("'modulus' and 'residue' must be given together")
-    cap = 64
+    cap = INDEX_CAP
     if doc.get("index_cap") is not None:
         if not has_mod:
             raise InputFormatError("'index_cap' needs 'modulus' and 'residue'")
@@ -501,32 +483,16 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     try:
         out = _report_text(args, text)
-    except InputFormatError as exc:
-        _fail(exc)
-        return 2
-    except BoundExceededError as exc:
-        _fail(exc)
-        return 4
-    except ContractViolationError as exc:
-        _fail(exc)
-        return 5
-    except PreconditionError as exc:
-        _fail(exc)
-        return 3
     except IHSConeError as exc:
-        _fail(exc)
-        return 1
+        doc = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
+        sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
+        return exc.exit_code
     try:
         _emit(out, args.output)
     except OSError as exc:
         sys.stderr.write(f"cannot write output: {exc}\n")
         return 2
     return 0
-
-
-def _fail(exc: Exception) -> None:
-    doc = {"error": {"kind": type(exc).__name__, "message": str(exc)}}
-    sys.stderr.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
 if __name__ == "__main__":

@@ -11,8 +11,8 @@ elimination, so the search uses integers only. Its output order is fixed
 because the ample-wall witness printed in reports is the first class it
 meets. The integer data a shell point needs to become a class (kernel and
 Gram-times-kernel rows, the pairing-g translate, the profile table) is
-built once per lattice in a `_ShellFrame`, so each point costs a few dot
-products and two gcds.
+built once per analysis in a `_ShellFrame`, so each point costs a few dot
+products and two gcds; the ample-wall witness and the SVG chart reuse it.
 
 Chamber walls come from the incidence of one double-description pass over
 the found classes and the ample class. The `analyze` docstring proves those
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
@@ -50,7 +51,7 @@ from .lattice import (
     signature,
     smith_normal_form,
 )
-from .pell import is_perfect_square
+from .pell import INDEX_CAP, is_perfect_square
 from .polyhedra import canonical_ray, dd_generators, dot
 from .weyl import is_chamber_wall
 
@@ -64,7 +65,7 @@ class EnumerationBound:
 
     max_ample_pairing: int = 10
     wall_test_limit: int = 8
-    pell_index_cap: int = 64
+    pell_index_cap: int = INDEX_CAP
 
     def __post_init__(self):
         for f in fields(self):
@@ -259,6 +260,8 @@ class _ShellFrame:
     div_table: tuple[tuple[int, tuple[int, ...]], ...]
 
 
+# the ample-wall witness and the SVG chart reuse the frame enumeration built
+@lru_cache(maxsize=1)
 def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFrame:
     g, x_unit, kernel = _ample_frame(lattice, ample)
     gram_kernel = [gram_vec(lattice, u) for u in kernel]
@@ -326,7 +329,7 @@ def enumerate_exceptional(
     """
     bound = bound or EnumerationBound()
     _check_analysis_input(lattice, ample)
-    frame = _shell_frame(lattice, t, ample)
+    frame = _shell_frame(lattice, t, tuple(ample))
     found: list[Vec] = []
     for p in range(frame.g, bound.max_ample_pairing + 1, frame.g):
         found.extend(_profile_classes(frame, p // frame.g))
@@ -341,7 +344,7 @@ def _ample_wall_witness(
     The first class in shell order at level m = 0 is returned; reports
     print it, so the order of `_shell_points` is part of the output.
     """
-    return next(_profile_classes(_shell_frame(lattice, t, ample), 0), None)
+    return next(_profile_classes(_shell_frame(lattice, t, tuple(ample)), 0), None)
 
 
 # ---------------------------------------------------------------------------

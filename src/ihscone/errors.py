@@ -2,20 +2,25 @@
 
 Four user-facing categories map onto distinct CLI exit codes: input
 format problems, precondition violations, exceeded search/step bounds,
-and violations of invariants the theory guarantees.
+and violations of invariants the theory guarantees. The CLI exits with
+the class's `exit_code`, which a subclass inherits from its category.
 """
 
 
 class IHSConeError(Exception):
-    pass
+    exit_code = 1
 
 
 class InputFormatError(IHSConeError):
     """Malformed input: bad JSON, non-square gram, unknown type tag, ..."""
 
+    exit_code = 2
+
 
 class PreconditionError(IHSConeError, ValueError):
     """An operation was called outside its documented domain."""
+
+    exit_code = 3
 
 
 class DegenerateGramError(PreconditionError):
@@ -46,9 +51,13 @@ class BoundExceededError(IHSConeError):
     """A configured cap (Pell index, reduction steps, rank limit, the
     interpreter's int-to-str digit limit) was hit."""
 
+    exit_code = 4
+
 
 class ContractViolationError(IHSConeError):
     """A certified identity from the theory failed on the given input."""
+
+    exit_code = 5
 
 
 class MixedRationalityError(ContractViolationError):

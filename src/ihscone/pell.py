@@ -24,6 +24,8 @@ from .errors import (
     PreconditionError,
 )
 
+INDEX_CAP = 64  # default for how many solutions a residue search tries
+
 
 @dataclass(frozen=True)
 class PellSolution:
@@ -115,7 +117,7 @@ def second_solution(n: int) -> PellSolution:
     return s
 
 
-def solution_with_residue(n: int, modulus: int, residue_x: int, index_cap: int = 64) -> PellSolution:
+def solution_with_residue(n: int, modulus: int, residue_x: int, index_cap: int = INDEX_CAP) -> PellSolution:
     """First solution (by index) whose x is residue_x mod modulus."""
     if modulus < 1:
         raise PreconditionError("modulus must be positive")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .engine import ConeAnalysis, _ample_frame
+from .engine import ConeAnalysis, _shell_frame
 from .errors import PreconditionError
 from .lattice import Lattice, Vec, norm, pairing
 
@@ -24,14 +24,12 @@ def _f(x: float) -> str:
     return "0.000000" if s == "-0.000000" else s
 
 
-def _chart(lattice: Lattice, ample: Vec):
-    _, _, kernel = _ample_frame(lattice, ample)
-    u1, u2 = kernel
-    p = [
-        [-pairing(lattice, u1, u1), -pairing(lattice, u1, u2)],
-        [-pairing(lattice, u2, u1), -pairing(lattice, u2, u2)],
-    ]
-    return u1, u2, p
+def _chart(analysis: ConeAnalysis):
+    """Kernel basis u1, u2 and the positive definite -K^T G K of the chart,
+    from the shell frame the analysis enumerated with."""
+    frame = _shell_frame(analysis.lattice, analysis.type, analysis.ample)
+    u1, u2 = zip(*frame.kernel_rows)
+    return u1, u2, frame.p_matrix
 
 
 def _ellipse_geometry(p, q_ample: int):
@@ -110,7 +108,7 @@ def render_section(analysis: ConeAnalysis) -> str:
         )
     ample = analysis.ample
     qa = norm(lattice, ample)
-    u1, u2, p = _chart(lattice, ample)
+    u1, u2, p = _chart(analysis)
     theta, rx, ry = _ellipse_geometry(p, qa)
 
     chords = [

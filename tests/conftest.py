@@ -1,5 +1,11 @@
 import re
 
+import pytest
+
+# helpers.py holds the independent oracles; it is not a test module, so
+# without this its asserts are plain ones, which python -O strips out
+pytest.register_assert_rewrite("tests.helpers")
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 

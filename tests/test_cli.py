@@ -13,8 +13,17 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
+from ihscone import cli, engine
 from ihscone.cli import _stringify, main, parse_input, run_pell
-from ihscone.errors import BoundExceededError, InputFormatError
+from ihscone.errors import (
+    BoundExceededError,
+    ContractViolationError,
+    IHSConeError,
+    InputFormatError,
+    MixedRationalityError,
+    PreconditionError,
+    SignatureError,
+)
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "report-v1.schema.json"
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
@@ -471,6 +480,86 @@ def test_exit_5_on_contract_violation(tmp_path, capsys):
     e = _error_doc(err)
     assert e["kind"] == "MixedRationalityError"
     assert "mix rationality" in e["message"]
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (IHSConeError, 1),
+        (InputFormatError, 2),
+        (PreconditionError, 3),
+        (SignatureError, 3),
+        (BoundExceededError, 4),
+        (ContractViolationError, 5),
+        (MixedRationalityError, 5),
+    ],
+)
+def test_exit_code_comes_from_the_error_class(tmp_path, capsys, monkeypatch, error, code):
+    def fail(args, text):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "_report_text", fail)
+    got, out, err = _run(capsys, ["analyze", "--input", _write(tmp_path, RANK3_DOC)])
+    assert (got, out) == (code, "")
+    assert _error_doc(err) == {"kind": error.__name__, "message": "boom"}
+
+
+_NOT_OBJECT = "input document must be a JSON object"
+_BAD_LABEL = "label: expected a string"
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, message",
+    [
+        ("analyze", "[1, 2]", _NOT_OBJECT),
+        ("analyze", '{"gram": [[2]], "type": "K3", "zz": 1, "extra": 1}',
+         "unknown input fields: extra, zz"),
+        ("analyze", '{"extra": 1}', "unknown input fields: extra"),
+        ("analyze", "{}", "missing required field 'gram'"),
+        ("analyze", '{"type": "K3"}', "missing required field 'gram'"),
+        ("analyze", '{"gram": [[2]]}', "missing required field 'type'"),
+        ("analyze", '{"gram": [[2]], "type": "K3", "label": 7}', _BAD_LABEL),
+        ("analyze", '{"gram": [[2]], "type": "K3", "n": "x", "label": 7}',
+         "n: expected an integer or decimal string, got 'x'"),
+        ("analyze", '{"gram": [[2]], "type": "K3", "label": 7, "bound": [4]}', _BAD_LABEL),
+        ("pell", "[5]", _NOT_OBJECT),
+        ("pell", '{"n": 5, "junk": 1}', "unknown input fields: junk"),
+        ("pell", '{"junk": 1}', "unknown input fields: junk"),
+        ("pell", "{}", "missing required field 'n'"),
+        ("pell", '{"n": 5, "label": 7}', _BAD_LABEL),
+        ("pell", '{"n": "x", "label": 7}', "n: expected an integer or decimal string, got 'x'"),
+        ("pell", '{"n": 5, "label": 7, "modulus": 4}', _BAD_LABEL),
+    ],
+)
+def test_document_reader_messages_in_order(tmp_path, capsys, subcommand, text, message):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, [subcommand, "--input", str(path)])
+    assert (code, out) == (2, "")
+    assert _error_doc(err) == {"kind": "InputFormatError", "message": message}
+
+
+# -------------------------------------------------- one frame per document
+
+
+def test_one_ample_frame_per_document(tmp_path, capsys, monkeypatch):
+    calls = []
+    ample_frame = engine._ample_frame
+
+    def counted(lattice, ample):
+        calls.append(ample)
+        return ample_frame(lattice, ample)
+
+    monkeypatch.setattr(engine, "_ample_frame", counted)
+    engine._shell_frame.cache_clear()
+    spec = parse_input(json.dumps(RANK3_DOC))
+    engine.analyze(spec.lattice, spec.dtype, spec.ample, spec.bound)
+    assert len(calls) == 1
+    engine._shell_frame.cache_clear()
+    calls.clear()
+    code, out, _ = _run(capsys, ["plot-section", "--input", _write(tmp_path, RANK3_DOC)])
+    assert code == 0 and out.startswith("<svg ")
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------ formats, stability

@@ -3,11 +3,14 @@ import ast
 import random
 from pathlib import Path
 
+import pytest
+
 import ihscone
 from ihscone import polyhedra
 from ihscone.catalog import parse_type
 from ihscone.engine import EnumerationBound, analyze
 from ihscone.lattice import Lattice
+from tests import helpers
 
 
 def test_library_has_no_assert_statements():
@@ -23,6 +26,13 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_oracle_asserts_survive_python_O():
+    # the adjugate inverse of a singular matrix must stop at its det != 0
+    # assert, not run on into a division by zero
+    with pytest.raises(AssertionError):
+        helpers.inverse([[1, 2], [2, 4]])
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
