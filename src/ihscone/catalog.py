@@ -136,8 +136,7 @@ def is_numerically_exceptional(
     if norm(L, a) <= 0:
         raise PreconditionError("ample class must have positive norm")
     w = L.check_vector(v)
-    if all(x == 0 for x in w):
-        return False
+    # is_primitive rejects the zero vector
     if not is_primitive(L, w):
         return False
     if not matches_profile(L, t, w):

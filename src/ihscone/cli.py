@@ -46,7 +46,7 @@ from .weyl import weyl_reduce
 
 SCHEMA_VERSION = "1"
 
-_INT_RE = re.compile(r"^-?[0-9]+$")
+_INT_RE = re.compile(r"-?[0-9]+")
 
 
 def _digit_limit_message(what: str) -> str:
@@ -98,7 +98,7 @@ def _as_int(value: Any, where: str) -> int:
         raise InputFormatError(f"{where}: expected an integer, got a boolean")
     if isinstance(value, int):
         return value
-    if isinstance(value, str) and _INT_RE.match(value):
+    if isinstance(value, str) and _INT_RE.fullmatch(value):
         try:
             return int(value)
         except ValueError as exc:
@@ -347,17 +347,15 @@ def _alpha_result_json(spec: InputSpec, result: AlphaResult, ctx) -> dict:
 
 def run_alpha(spec: InputSpec) -> dict:
     """Dispatch on the shape of (D, E): isotropic E takes the direct branch,
-    square N the degenerate one, profile-matching E the effectivity pipeline,
-    anything else the plain Pell branch."""
+    profile-matching E with nonsquare N the effectivity pipeline, anything
+    else `alpha_case_b`, which handles square N itself. norm(E) is t*e,
+    since the divisibility t divides it."""
     if spec.d_class is None or spec.e_class is None:
         raise InputFormatError("alpha needs both 'D' and 'E' fields")
-    lattice = spec.lattice
-    ctx = build_context(lattice, spec.d_class, spec.e_class)
-    if norm(lattice, spec.e_class) == 0:
+    ctx = build_context(spec.lattice, spec.d_class, spec.e_class)
+    if ctx.t * ctx.e == 0:
         result = alpha_case_a(ctx)
-    elif is_perfect_square(ctx.N) is not None:
-        result = alpha_case_b(ctx)
-    elif matches_profile(lattice, spec.dtype, spec.e_class):
+    elif is_perfect_square(ctx.N) is None and matches_profile(ctx.L, spec.dtype, ctx.E):
         result = alpha_effective(ctx, spec.dtype)
     else:
         result = alpha_case_b(ctx)

@@ -104,7 +104,10 @@ class RayDescriptor:
 class Rank2Report:
     ray1: RayDescriptor
     ray2: RayDescriptor
-    both_rational: bool
+
+    @property
+    def both_rational(self) -> bool:
+        return self.ray1.rational and self.ray2.rational
 
 
 @dataclass(frozen=True)
@@ -128,9 +131,12 @@ class ConeAnalysis:
     bound: EnumerationBound
     exceptional_found: tuple[Vec, ...]
     chamber_walls: tuple[Vec, ...]
-    verdict: str
     rank2: Optional[Rank2Report] = None
     notes: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def verdict(self) -> str:
+        return VERDICT_POLYHEDRAL if self.exceptional_found else VERDICT_CIRCULAR
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +331,8 @@ def enumerate_exceptional(
     is visited. The integer data of the split (`_ShellFrame`) is built once,
     and each level m = p // g scales it, so a shell point costs a few dot
     products. Output is sorted lexicographically; canonical sign (positive
-    ample-pairing) is automatic.
+    ample-pairing) is automatic, and no class repeats: [x_unit | K] is
+    unimodular, so v = m x_unit + K z is injective, and squares differ.
     """
     bound = bound or EnumerationBound()
     _check_analysis_input(lattice, ample)
@@ -333,7 +340,7 @@ def enumerate_exceptional(
     found: list[Vec] = []
     for p in range(frame.g, bound.max_ample_pairing + 1, frame.g):
         found.extend(_profile_classes(frame, p // frame.g))
-    return tuple(sorted(set(found)))
+    return tuple(sorted(found))
 
 
 def _ample_wall_witness(
@@ -442,7 +449,7 @@ def _rank2_report(
             "exceptional class on the open side or the lattice falls outside "
             "the guaranteed dichotomy"
         )
-    return Rank2Report(ray1=ray1, ray2=ray2, both_rational=ray1.rational)
+    return Rank2Report(ray1=ray1, ray2=ray2)
 
 
 def classify_rank2(
@@ -504,7 +511,6 @@ def analyze(
             "found classes only"
         )
     if not classes:
-        verdict = VERDICT_CIRCULAR
         walls: tuple[Vec, ...] = ()
         notes.append(
             "no exceptional classes up to the bound; the pseudo-effective "
@@ -520,7 +526,6 @@ def analyze(
         rows = [gram_vec(lattice, c) for c in classes] + [gram_vec(lattice, ample)]
         _, _, incidence = dd_generators(rows, n)
         walls = tuple(c for i, c in enumerate(classes) if is_chamber_wall(incidence, i))
-        verdict = VERDICT_POLYHEDRAL
         if len(walls) < n:
             notes.append(
                 f"found {len(walls)} chamber walls, below the rank-{n} "
@@ -535,7 +540,6 @@ def analyze(
         bound=bound,
         exceptional_found=classes,
         chamber_walls=walls,
-        verdict=verdict,
         rank2=rank2,
         notes=tuple(notes),
     )
@@ -545,9 +549,9 @@ def finiteness_report(analysis: ConeAnalysis) -> FinitenessReport:
     """Finiteness equivalences, truncated at the enumeration bound.
 
     One bit: up to the bound, Eff(X) is rational polyhedral exactly when
-    Bir(X) and the quotient are finite. At rank >= 3 the verdict decides
-    it; at rank 2 rationality of the boundary rays; rank 1 is trivially
-    rational.
+    Bir(X) and the quotient are finite. At rank >= 3 a found class decides
+    it, as it decides the verdict; at rank 2 rationality of the boundary
+    rays; rank 1 is trivially rational.
     """
     n = analysis.lattice.rank
     b = analysis.bound.max_ample_pairing
@@ -558,7 +562,7 @@ def finiteness_report(analysis: ConeAnalysis) -> FinitenessReport:
             raise PreconditionError("rank-2 analysis is missing its boundary-ray report")
         eff = analysis.rank2.both_rational
     else:
-        eff = analysis.verdict == VERDICT_POLYHEDRAL
+        eff = bool(analysis.exceptional_found)
     applicable = n >= 3 and bool(analysis.exceptional_found)
     return FinitenessReport(
         eff_rational_polyhedral_up_to_bound=eff,

@@ -32,14 +32,6 @@ def identity_matrix(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b) -> list[list[int]]:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
-
-
 def mat_vec(m, v) -> Vec:
     return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
 
@@ -141,10 +133,7 @@ def divisibility(L: Lattice, v: Sequence[int]) -> int:
 
 def is_primitive(L: Lattice, v: Sequence[int]) -> bool:
     """True iff v is not a proper integer multiple of a lattice vector."""
-    w = L.check_vector(v)
-    if all(x == 0 for x in w):
-        return False
-    return math.gcd(*w) == 1
+    return math.gcd(*L.check_vector(v)) == 1  # gcd(0, ..., 0) = 0 rejects zero
 
 
 def smith_normal_form(mat: Sequence[Sequence[int]]):
@@ -333,36 +322,36 @@ def disc_class(L: Lattice, v: Sequence[int]) -> DiscClass:
     return DiscClass(tuple(coords[i] for i in idx), factors)
 
 
-def charpoly(m) -> list[int]:
-    """Characteristic polynomial coefficients [1, c1, ..., cn] of an
-    integer matrix, highest degree first (Faddeev-LeVerrier, exact)."""
-    n = len(m)
-    coeffs = [1]
-    M: list[list[int]] = []
-    for k in range(1, n + 1):
-        if k == 1:
-            M = [list(row) for row in m]
-        else:
-            for i in range(n):
-                M[i][i] += coeffs[-1]
-            M = mat_mul(m, M)
-        tr = sum(M[i][i] for i in range(n))
-        # the division is exact for integer matrices
-        coeffs.append(-tr // k)
-    return coeffs
-
-
 def signature(L: Lattice) -> tuple[int, int]:
     """Exact signature (positive, negative eigenvalue counts).
 
-    The characteristic polynomial of a symmetric integer matrix has only
-    real roots, so Descartes' sign-change count is exact; degenerate
-    matrices were already rejected at construction.
+    Lagrange's reduction in integers: a nonzero diagonal pivot p counts
+    sign(p), and the rest becomes |p|*a_rc - sign(p)*a_rk*a_kc over its
+    content, a positive multiple of the Schur complement, which keeps the
+    signature (Sylvester's law of inertia). A zero diagonal has some
+    a_ij != 0, as construction rejects degenerate forms, and the basis
+    change e_i -> e_i + e_j makes a_ii = 2*a_ij.
     """
-    cs = charpoly(L.gram)
-    nz = [c for c in cs if c != 0]
-    p = sum(1 for a, b in zip(nz, nz[1:]) if (a > 0) != (b > 0))
-    return (p, L.rank - p)
+    a = [list(row) for row in L.gram]
+    pos = 0
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
+        if k is None:
+            k, j = next((i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+            a[k] = [x + y for x, y in zip(a[k], a[j])]
+            for row in a:
+                row[k] += row[j]
+        p, row_k = a[k][k], a[k]
+        s = 1 if p > 0 else -1
+        pos += p > 0
+        a = [
+            [abs(p) * x - s * r[k] * y for c, (x, y) in enumerate(zip(r, row_k)) if c != k]
+            for i, r in enumerate(a)
+            if i != k
+        ]
+        g = math.gcd(*(x for r in a for x in r))
+        a = [[x // g for x in r] for r in a]
+    return (pos, L.rank - pos)
 
 
 def eichler_equivalent(L: Lattice, v: Sequence[int], w: Sequence[int]) -> bool:

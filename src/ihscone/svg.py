@@ -1,11 +1,11 @@
 """Rank-3 cross-section plots.
 
 The picture is the affine slice {x : pairing(x, ample) = norm(ample)} of the
-positive cone, drawn in the chart ample + s*u1 + t*u2 where (u1, u2) is an
-integer basis of the ample-orthogonal sublattice. On that slice the cone
-boundary is an ellipse, every chamber wall cuts a chord, and every extremal
-ray meets the plane in one point. All geometry is computed exactly and only
-rendered to fixed-precision decimals at the very end.
+positive cone, drawn in the chart ample + s*u1 + t*u2 where (u1, u2) is the
+kernel basis of the analysis' shell frame. On that slice the cone boundary is
+an ellipse, every chamber wall w cuts a chord and meets the plane in one
+point, both exact functions of p = -K^T G K and the triple (pairing(ample, w),
+pairing(u1, w), pairing(u2, w)). Only the drawing is rounded, at the end.
 """
 from __future__ import annotations
 
@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .engine import ConeAnalysis, _shell_frame
 from .errors import PreconditionError
-from .lattice import Lattice, Vec, norm, pairing
+from .lattice import norm, pairing
+from .polyhedra import dot
 
 _FMT = "%.6f"
 
@@ -22,14 +23,6 @@ _FMT = "%.6f"
 def _f(x: float) -> str:
     s = _FMT % x
     return "0.000000" if s == "-0.000000" else s
-
-
-def _chart(analysis: ConeAnalysis):
-    """Kernel basis u1, u2 and the positive definite -K^T G K of the chart,
-    from the shell frame the analysis enumerated with."""
-    frame = _shell_frame(analysis.lattice, analysis.type, analysis.ample)
-    u1, u2 = zip(*frame.kernel_rows)
-    return u1, u2, frame.p_matrix
 
 
 def _ellipse_geometry(p, q_ample: int):
@@ -44,17 +37,13 @@ def _ellipse_geometry(p, q_ample: int):
     return theta, rx, ry
 
 
-def _wall_chord(lattice: Lattice, ample: Vec, u1: Vec, u2: Vec, p, wall: Vec):
+def _wall_chord(p, qa: int, wall, w0: int, w1: int, w2: int):
     """Endpoints of {pairing(x, wall) = 0} on the boundary ellipse.
 
     In chart coordinates the wall is w0 + s*w1 + t*w2 = 0 with w0 > 0; the
     line always crosses the ellipse interior because the wall hyperplane of a
     negative class meets the positive cone.
     """
-    w0 = pairing(lattice, ample, wall)
-    w1 = pairing(lattice, u1, wall)
-    w2 = pairing(lattice, u2, wall)
-    qa = norm(lattice, ample)
     # point on the line nearest the origin in the (s, t) chart, direction along it
     den = w1 * w1 + w2 * w2
     base = (Fraction(-w0 * w1, den), Fraction(-w0 * w2, den))
@@ -63,10 +52,9 @@ def _wall_chord(lattice: Lattice, ample: Vec, u1: Vec, u2: Vec, p, wall: Vec):
     def form(x, y):
         return p[0][0] * x[0] * y[0] + p[0][1] * (x[0] * y[1] + x[1] * y[0]) + p[1][1] * x[1] * y[1]
 
-    qa_f = Fraction(qa)
     a2 = form(direction, direction)
     b1 = form(base, direction)
-    c0 = form(base, base) - qa_f
+    c0 = form(base, base) - qa
     disc = b1 * b1 - a2 * c0
     if disc <= 0:
         raise PreconditionError(
@@ -74,29 +62,26 @@ def _wall_chord(lattice: Lattice, ample: Vec, u1: Vec, u2: Vec, p, wall: Vec):
         )
     root = math.sqrt(float(disc))
     taus = ((-float(b1) - root) / float(a2), (-float(b1) + root) / float(a2))
-    pts = [
+    return [
         (float(base[0]) + tau * float(direction[0]), float(base[1]) + tau * float(direction[1]))
         for tau in taus
     ]
-    return pts
 
 
-def _ray_point(lattice: Lattice, ample: Vec, u1: Vec, u2: Vec, ray: Vec):
-    """Chart coordinates where the ray meets the section plane."""
-    pr = pairing(lattice, ray, ample)
-    if pr <= 0:
+def _ray_point(p, qa: int, ray, w0: int, w1: int, w2: int):
+    """Chart coordinates (s, t) where the ray meets the section plane.
+
+    The ray meets it at (qa/w0)*ray = ample + s*u1 + t*u2. The kernel
+    vectors pair to 0 with the ample class, so pairing both sides with u1
+    and u2 gives (qa/w0)*(w1, w2) = -p (s, t).
+    """
+    if w0 <= 0:
         raise PreconditionError(f"ray {ray} does not meet the ample section")
-    lam = Fraction(norm(lattice, ample), pr)
-    diff = [lam * r - a for r, a in zip(ray, ample)]
-    # solve diff = s*u1 + t*u2 via two independent coordinates
-    for i in range(lattice.rank):
-        for j in range(i + 1, lattice.rank):
-            det = u1[i] * u2[j] - u1[j] * u2[i]
-            if det:
-                s = (diff[i] * u2[j] - diff[j] * u2[i]) / det
-                t = (u1[i] * diff[j] - u1[j] * diff[i]) / det
-                return float(s), float(t)
-    raise PreconditionError("ample-orthogonal basis is degenerate")
+    lam = Fraction(qa, w0)
+    det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
+    s = -lam * (p[1][1] * w1 - p[0][1] * w2) / det
+    t = -lam * (p[0][0] * w2 - p[1][0] * w1) / det
+    return float(s), float(t)
 
 
 def render_section(analysis: ConeAnalysis) -> str:
@@ -108,13 +93,17 @@ def render_section(analysis: ConeAnalysis) -> str:
         )
     ample = analysis.ample
     qa = norm(lattice, ample)
-    u1, u2, p = _chart(analysis)
+    frame = _shell_frame(lattice, analysis.type, ample)
+    p = frame.p_matrix
     theta, rx, ry = _ellipse_geometry(p, qa)
 
-    chords = [
-        _wall_chord(lattice, ample, u1, u2, p, wall) for wall in analysis.chamber_walls
+    gram_kernel_cols = tuple(zip(*frame.gram_kernel_rows))
+    lines = [
+        (wall, pairing(lattice, ample, wall), *(dot(wall, col) for col in gram_kernel_cols))
+        for wall in analysis.chamber_walls
     ]
-    points = [_ray_point(lattice, ample, u1, u2, ray) for ray in analysis.chamber_walls]
+    chords = [_wall_chord(p, qa, *line) for line in lines]
+    points = [_ray_point(p, qa, *line) for line in lines]
 
     r_max = max(rx, ry)
     xs = [-r_max, r_max] + [pt[0] for pt in points]

@@ -330,7 +330,7 @@ def reference_rank2_rays(lat: Lattice, ample, bound: int, classes):
             "exceptional class on the open side or the lattice falls outside "
             "the guaranteed dichotomy"
         )
-    return Rank2Report(ray1=ray1, ray2=ray2, both_rational=ray1.rational)
+    return Rank2Report(ray1=ray1, ray2=ray2)
 
 
 def reference_weyl_reduce(lat: Lattice, roots, v):

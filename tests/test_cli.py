@@ -330,6 +330,22 @@ def test_exit_2_on_bad_document(tmp_path, capsys):
     assert _error_doc(err)["kind"] == "InputFormatError"
 
 
+def test_exit_2_on_decimal_string_with_trailing_newline(tmp_path, capsys):
+    # a regex "$" also matches before a final newline; the whole string
+    # must be digits
+    for doc_in in (
+        {"gram": [["2\n"]], "type": "K3"},
+        {"gram": [[2, 0], [0, -2]], "type": "K3", "ample": ["1\n", "0"]},
+    ):
+        code, out, err = _run(capsys, ["enumerate", "--input", _write(tmp_path, doc_in)])
+        assert code == 2 and out == ""
+        e = _error_doc(err)
+        assert e["kind"] == "InputFormatError"
+        assert "expected an integer or decimal string" in e["message"]
+    with pytest.raises(InputFormatError, match="expected an integer or decimal string"):
+        cli._as_int("5\n", "x")
+
+
 def test_exit_2_on_missing_file(tmp_path, capsys):
     code, out, err = _run(capsys, ["analyze", "--input", str(tmp_path / "nope.json")])
     assert code == 2 and out == ""

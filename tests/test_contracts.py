@@ -1,6 +1,9 @@
 """Library contract checks must survive ``python -O``."""
 import ast
+import importlib
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,3 +117,23 @@ def test_wall_pass_builds_no_fraction(monkeypatch):
         n = rng.randint(1, 5)
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 6))]
         polyhedra.dd_generators(rows, n)
+
+
+def test_traced_names_resolve(monkeypatch):
+    # the benchmark tracer patches library functions by name; a renamed or
+    # deleted one would otherwise surface only when the benchmark runs
+    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules
+    monkeypatch.setitem(sys.modules, "bench_spans", spans)
+    spec.loader.exec_module(spans)
+    names = [(module, attr) for _, module, attrs in spans.SPANS for attr in attrs]
+    names += [(module, attr) for _, module, attr in spans.COUNTERS]
+    assert len(names) > 20
+    missing = [
+        f"ihscone.{module}.{attr}"
+        for module, attr in names
+        if not callable(getattr(importlib.import_module(f"ihscone.{module}"), attr, None))
+    ]
+    assert missing == []

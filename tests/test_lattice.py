@@ -15,7 +15,6 @@ from ihscone.errors import (
 )
 from ihscone.lattice import (
     Lattice,
-    charpoly,
     det_int,
     disc_class,
     discriminant_group,
@@ -212,6 +211,34 @@ def test_signature_unimodular_invariance():
         assert signature(Lattice(moved)) == expected
 
 
+def test_signature_by_sylvester_inertia():
+    # P^T (D + H^k) P with H = [[0, b], [b, 0]] has signature
+    # (k + #D>0, k + #D<0); a signed permutation P keeps the zero diagonal
+    # of the hyperbolic planes, so the zero-pivot step runs often
+    rng = random.Random(67)
+    zero_diagonal = 0
+    for _ in range(400):
+        diag = [rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(rng.randint(0, 3))]
+        k = rng.randint(0 if diag else 1, 3)
+        n = len(diag) + 2 * k
+        gram = [[0] * n for _ in range(n)]
+        for i, d in enumerate(diag):
+            gram[i][i] = d
+        for h in range(k):
+            i = len(diag) + 2 * h
+            gram[i][i + 1] = gram[i + 1][i] = rng.choice((-1, 1)) * rng.randint(1, 6)
+        if rng.random() < 0.2:
+            p = rand_unimodular(rng, n)
+        else:
+            perm = rng.sample(range(n), n)
+            p = [[rng.choice((-1, 1)) if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+        moved = congruate(gram, p)
+        zero_diagonal += all(moved[i][i] == 0 for i in range(n))
+        expected = (k + sum(d > 0 for d in diag), k + sum(d < 0 for d in diag))
+        assert signature(Lattice(moved)) == expected, moved
+    assert zero_diagonal > 20
+
+
 @given(st.integers(min_value=1, max_value=4), st.integers())
 @settings(deadline=None, max_examples=60)
 def test_pairing_bilinear_symmetric(rank, seed):
@@ -237,12 +264,6 @@ def test_divisibility_divides_every_pairing():
         for _ in range(5):
             w = tuple(rng.randint(-6, 6) for _ in range(rank))
             assert pairing(lat, v, w) % dv == 0
-
-
-def test_charpoly_examples():
-    # diag(2, -3): (x - 2)(x + 3) = x^2 + x - 6
-    assert charpoly([[2, 0], [0, -3]]) == [1, 1, -6]
-    assert charpoly([[1, 0], [0, 1]]) == [1, -2, 1]
 
 
 def test_det_int_matches_fraction_elimination():

@@ -1,4 +1,5 @@
 """Deterministic SVG rendering of rank-3 cone sections."""
+import hashlib
 import re
 
 import pytest
@@ -71,3 +72,42 @@ def test_below_rank_walls_still_render():
     svg = render_section(res)
     assert svg.count("<line") == 2
     assert svg.count("<circle") == 2
+
+
+# (type, n, gram, ample, bound): all five deformation types, dense and
+# sheared charts, the ample class on a root hyperplane (the first case),
+# circular sections and fewer walls than the rank
+PINNED_SECTIONS = [
+    ("K3", None, ((2, 0, 0), (0, -2, 0), (0, 0, -2)), (1, 0, 0), 4),
+    ("K3", None, ((2, 0, 0), (0, -2, 0), (0, 0, -2)), (3, 1, 0), 8),
+    ("K3", None, ((2, 1, 0), (1, -2, 0), (0, 0, -2)), (2, 1, 1), 8),
+    ("K3", None, ((2, 0, 0), (0, -2, 0), (0, 0, -4)), (1, 0, 0), 4),
+    ("K3", None, ((4, 0, 0), (0, -4, 0), (0, 0, -4)), (1, 0, 0), 6),
+    ("K3", None, ((6, 0, 0), (0, -2, 1), (0, 1, -4)), (1, 0, 0), 8),
+    ("K3", None, ((0, 1, 0), (1, 0, 0), (0, 0, -2)), (1, 1, 0), 6),
+    ("K3[n]", 3, ((2, 0, 0), (0, -2, 0), (0, 0, -4)), (2, 1, 0), 8),
+    ("K3[n]", 2, ((2, 0, 0), (0, -2, 0), (0, 0, -2)), (3, 1, 1), 6),
+    ("Kum[n]", 2, ((2, 0, 0), (0, -6, 0), (0, 0, -6)), (3, 1, 0), 10),
+    ("Kum[n]", 2, ((6, 0, 0), (0, -6, 3), (0, 3, -6)), (1, 0, 0), 8),
+    ("OG6", None, ((2, 0, 0), (0, -2, 0), (0, 0, -4)), (3, 1, 1), 10),
+    ("OG6", None, ((4, 0, 0), (0, -4, 2), (0, 2, -4)), (1, 0, 0), 8),
+    ("OG10", None, ((2, 0, 0), (0, -2, 0), (0, 0, -6)), (3, 1, 1), 10),
+    ("OG10", None, ((6, 3, 0), (3, -2, 0), (0, 0, -6)), (1, 0, 0), 8),
+]
+
+
+def test_section_bytes_pinned():
+    from ihscone.lattice import Lattice
+
+    digest = hashlib.sha256()
+    walls = []
+    for tag, n, gram, ample, bound in PINNED_SECTIONS:
+        res = analyze(
+            Lattice(gram), parse_type(tag, n), ample, EnumerationBound(max_ample_pairing=bound)
+        )
+        walls.append(len(res.chamber_walls))
+        digest.update(render_section(res).encode())
+    assert walls == [4, 3, 3, 2, 0, 6, 4, 4, 3, 2, 0, 4, 0, 4, 2]
+    assert digest.hexdigest() == (
+        "fabe7364b73680c6ff2f12f4df9917bcd364718f59282268c863dac97c02104e"
+    )
