@@ -154,7 +154,7 @@ def alpha_effective(ctx: AlphaContext, t: DeformationType) -> AlphaResult:
             "N = %d is a perfect square; alpha_case_b handles that branch" % ctx.N
         )
     if t.kind in (Kind.K3N, Kind.KUMN):
-        sol = second_solution(ctx.N)
+        sol = second_solution(fundamental_solution(ctx.N))
         # theorem: t | N, so x2 = 1 + 2*N*y1^2 = 1 mod the disc group's order
         (modulus,) = expected_disc_group(t)
         if sol.x % modulus != 1 % modulus:

@@ -381,7 +381,7 @@ def run_pell(text: str) -> dict:
         if cap < 1:
             raise InputFormatError(f"index_cap must be a positive integer, got {cap}")
     fund = fundamental_solution(n)
-    second = second_solution(n)
+    second = second_solution(fund)
     report: dict[str, Any] = {
         "schema_version": SCHEMA_VERSION,
         "subcommand": "pell",
@@ -396,7 +396,7 @@ def run_pell(text: str) -> dict:
         modulus = _as_int(doc["modulus"], "modulus")
         residue = _as_int(doc["residue"], "residue")
         report["input"] = {"n": n, "modulus": modulus, "residue": residue, "index_cap": cap}
-        sol = solution_with_residue(n, modulus, residue, index_cap=cap)
+        sol = solution_with_residue(fund, modulus, residue, index_cap=cap)
         report["residue_solution"] = {"x": sol.x, "y": sol.y}
     return report
 
@@ -444,6 +444,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parse_args returns a fresh Namespace per call
+_PARSER = _build_parser()
+
+
 def _report_text(args: argparse.Namespace, text: str) -> str:
     """The rendered report (or SVG) of one subcommand on one input text."""
     if args.subcommand == "pell":
@@ -472,7 +476,7 @@ def _report_text(args: argparse.Namespace, text: str) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -282,7 +282,8 @@ class DiscClass:
         return o
 
 
-@lru_cache(maxsize=None)
+# discriminant_group and disc_class reuse it within one lattice
+@lru_cache(maxsize=1)
 def _disc_data(gram: Mat):
     D, U, V = smith_normal_form(gram)
     n = len(gram)

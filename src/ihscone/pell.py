@@ -102,26 +102,28 @@ def next_solution(s: PellSolution, fund: PellSolution) -> PellSolution:
     return PellSolution(fund.x * s.x + n * fund.y * s.y, fund.x * s.y + fund.y * s.x, n)
 
 
-def second_solution(n: int) -> PellSolution:
-    """Index-2 solution (x1^2 + N*y1^2, 2*x1*y1).
+def second_solution(fund: PellSolution) -> PellSolution:
+    """Index-2 solution (x1^2 + N*y1^2, 2*x1*y1) from the fundamental one.
 
     Its x is 1 mod 2N and its y is even, which is what the effective-class
     construction needs for the discriminant-class congruences.
     """
-    f = fundamental_solution(n)
-    s = PellSolution(f.x * f.x + n * f.y * f.y, 2 * f.x * f.y, n)
-    if s.x - 1 != 2 * n * f.y * f.y:
+    n = fund.n_param
+    s = PellSolution(fund.x * fund.x + n * fund.y * fund.y, 2 * fund.x * fund.y, n)
+    if s.x - 1 != 2 * n * fund.y * fund.y:
         raise ContractViolationError("second Pell solution violates x2 - 1 = 2*N*y1^2")
     if s.y % 2 != 0:
         raise ContractViolationError("second Pell solution has odd y")
     return s
 
 
-def solution_with_residue(n: int, modulus: int, residue_x: int, index_cap: int = INDEX_CAP) -> PellSolution:
-    """First solution (by index) whose x is residue_x mod modulus."""
+def solution_with_residue(
+    fund: PellSolution, modulus: int, residue_x: int, index_cap: int = INDEX_CAP
+) -> PellSolution:
+    """First solution (by index, from the fundamental one) whose x is
+    residue_x mod modulus."""
     if modulus < 1:
         raise PreconditionError("modulus must be positive")
-    fund = fundamental_solution(n)
     s = fund
     for _ in range(index_cap):
         if s.x % modulus == residue_x % modulus:
@@ -129,5 +131,5 @@ def solution_with_residue(n: int, modulus: int, residue_x: int, index_cap: int =
         s = next_solution(s, fund)
     raise BoundExceededError(
         "no solution of x^2 - %d*y^2 = 1 with x = %d (mod %d) within index cap %d"
-        % (n, residue_x, modulus, index_cap)
+        % (fund.n_param, residue_x, modulus, index_cap)
     )

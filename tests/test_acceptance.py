@@ -89,7 +89,7 @@ def test_criterion_01():
             assert nxt.x * nxt.x - n * nxt.y * nxt.y == 1
             assert nxt.x > prev.x and nxt.y > prev.y
             prev = nxt
-        two = second_solution(n)
+        two = second_solution(fundamental_solution(n))
         assert two.x - 1 == 2 * n * s.y * s.y
         assert two == next_solution(s, s)
     elapsed = time.monotonic() - start

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from ihscone import cli, engine
+from ihscone import alphas, cli, engine, pell
 from ihscone.cli import _stringify, main, parse_input, run_pell
 from ihscone.errors import (
     BoundExceededError,
@@ -576,6 +576,56 @@ def test_one_ample_frame_per_document(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, ["plot-section", "--input", _write(tmp_path, RANK3_DOC)])
     assert code == 0 and out.startswith("<svg ")
     assert len(calls) == 1
+
+
+def test_one_pell_solve_per_document(tmp_path, capsys, monkeypatch):
+    calls = []
+    solve = pell.fundamental_solution
+
+    def counted(n):
+        calls.append(n)
+        return solve(n)
+
+    for module in (pell, cli, alphas):
+        monkeypatch.setattr(module, "fundamental_solution", counted)
+    doc_in = {"n": 3, "modulus": 4, "residue": 1}
+    code, out, _ = _run(capsys, ["pell", "--input", _write(tmp_path, doc_in)])
+    assert code == 0 and json.loads(out)["residue_solution"] == {"x": "97", "y": "56"}
+    assert calls == [3]
+    calls.clear()
+    # K3[n] with a profile-matching E takes the alpha_effective branch
+    doc_in = {"gram": [[2, 1], [1, -2]], "type": "K3[n]", "n": 2, "D": [1, 0], "E": [0, 1]}
+    code, out, _ = _run(capsys, ["alpha", "--input", _write(tmp_path, doc_in)])
+    assert code == 0 and json.loads(out)["certified_effective"] is True
+    assert calls == [5]
+
+
+def test_parser_reuse_keeps_no_state(tmp_path, capsys):
+    """One parser serves every call: options left out of a call take their
+    defaults again, whatever an earlier call set."""
+    path = _write(tmp_path, dict(RANK3_DOC, vector=[5, 3, 3]))
+    calls = [
+        ("enumerate", "--bound", "2"),
+        ("enumerate",),
+        ("reduce", "--max-steps", "0"),
+        ("reduce",),
+        ("frobnicate",),
+        ("enumerate", "--format", "pretty"),
+        ("enumerate",),
+    ]
+    seen = []
+    for subcommand, *extra in calls:
+        fresh = _cli_process(subcommand, path, *extra)
+        try:
+            code = main([subcommand, "--input", path, *extra])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+        seen.append((code, out.out))
+    # each option changes its own call's result, so a leak would show
+    assert seen[0] != seen[1] and seen[5] != seen[6] and seen[1] == seen[6]
+    assert [code for code, _ in seen[2:5]] == [4, 0, 2]
 
 
 # ------------------------------------------------------ formats, stability

@@ -15,6 +15,7 @@ from ihscone.errors import (
 )
 from ihscone.lattice import (
     Lattice,
+    _disc_data,
     det_int,
     disc_class,
     discriminant_group,
@@ -141,6 +142,14 @@ def test_discriminant_group_order_is_abs_det():
         gram = congruate(rand_diag_gram(rng, rank), rand_unimodular(rng, rank))
         lat = Lattice(gram)
         assert discriminant_group(lat).order == abs(det_int([list(r) for r in gram]))
+
+
+def test_disc_data_cache_keeps_one_lattice():
+    # an in-process caller sees many lattices; the cache must not grow with them
+    _disc_data.cache_clear()
+    for d in (2, 4, 6):
+        discriminant_group(Lattice(((2, 0, 0), (0, -d, 0), (0, 0, -2))))
+    assert _disc_data.cache_info().currsize <= 1
 
 
 def test_generator_lifts_pair_integrally():

@@ -143,9 +143,18 @@ def test_recursion_chain_properties(n):
 
 
 def test_second_solution_frozen():
-    assert (second_solution(3).x, second_solution(3).y) == (7, 4)
-    assert (second_solution(2).x, second_solution(2).y) == (17, 12)
-    assert (second_solution(5).x, second_solution(5).y) == (161, 72)
+    assert (
+        second_solution(fundamental_solution(3)).x,
+        second_solution(fundamental_solution(3)).y,
+    ) == (7, 4)
+    assert (
+        second_solution(fundamental_solution(2)).x,
+        second_solution(fundamental_solution(2)).y,
+    ) == (17, 12)
+    assert (
+        second_solution(fundamental_solution(5)).x,
+        second_solution(fundamental_solution(5)).y,
+    ) == (161, 72)
 
 
 @given(st.integers(min_value=2, max_value=500))
@@ -154,7 +163,7 @@ def test_second_solution_identities(n):
     if is_perfect_square(n) is not None:
         return
     f = fundamental_solution(n)
-    s = second_solution(n)
+    s = second_solution(fundamental_solution(n))
     assert s.x - 1 == 2 * n * f.y * f.y
     assert s.y % 2 == 0
     assert s.x % (2 * n) == 1
@@ -164,11 +173,14 @@ def test_second_solution_identities(n):
 
 def test_solution_with_residue_frozen():
     # the chain for 3 runs (2,1), (7,4), (26,15), (97,56): x hits 1 mod 4 at index 4
-    s = solution_with_residue(3, 4, 1)
+    s = solution_with_residue(fundamental_solution(3), 4, 1)
     assert (s.x, s.y) == (97, 56)
-    assert (solution_with_residue(2, 2, 1).x, solution_with_residue(2, 2, 1).y) == (3, 2)
+    assert (
+        solution_with_residue(fundamental_solution(2), 2, 1).x,
+        solution_with_residue(fundamental_solution(2), 2, 1).y,
+    ) == (3, 2)
     # modulus 1 accepts the fundamental solution immediately
-    s7 = solution_with_residue(7, 1, 0)
+    s7 = solution_with_residue(fundamental_solution(7), 1, 0)
     f7 = fundamental_solution(7)
     assert (s7.x, s7.y) == (f7.x, f7.y)
 
@@ -176,10 +188,10 @@ def test_solution_with_residue_frozen():
 def test_solution_with_residue_cap():
     # x mod 5 cycles through {2, 1} for parameter 3, so residue 3 never shows up
     with pytest.raises(BoundExceededError) as exc:
-        solution_with_residue(3, 5, 3, index_cap=8)
+        solution_with_residue(fundamental_solution(3), 5, 3, index_cap=8)
     assert "8" in str(exc.value)
 
 
 def test_solution_with_residue_rejects_bad_modulus():
     with pytest.raises(PreconditionError):
-        solution_with_residue(3, 0, 1)
+        solution_with_residue(fundamental_solution(3), 0, 1)
