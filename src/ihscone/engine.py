@@ -9,10 +9,12 @@ Classes of a profile with a fixed ample pairing lie on the shell of an
 ellipsoid; `_shell_points` lists its integer points by fraction-free integer
 elimination, so the search uses integers only. Its output order is fixed
 because the ample-wall witness printed in reports is the first class it
-meets. The integer data a shell point needs to become a class (kernel and
-Gram-times-kernel rows, the pairing-g translate, the profile table) is
-built once per analysis in a `_ShellFrame`, so each point costs a few dot
-products and two gcds; the ample-wall witness and the SVG chart reuse it.
+meets. The integer data a shell point needs to become a class (each kernel
+vector with its Gram image, the pairing-g translate, the profile table) is
+built once per analysis in a `_ShellFrame`. The lister carries each
+point's class and its Gram image down the recursion, so a point costs one
+vector step and two gcds; the ample-wall witness and the SVG chart reuse
+the frame.
 
 Chamber walls come from the incidence of one double-description pass over
 the found classes and the ample class. The `analyze` docstring proves those
@@ -70,7 +72,7 @@ class EnumerationBound:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise PreconditionError(f"{f.name} must be a positive integer, got {value!r}")
 
 
@@ -143,11 +145,12 @@ class ConeAnalysis:
 # exact ellipsoid shell enumeration
 
 
-def _shell_points(p, b, c) -> list[tuple[int, ...]]:
-    """All integer z with z^T p z - 2 b.z = c, p a positive definite integer Gram.
+def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
+    """Images base + sum_i z_i cols[i] of the integer z with z^T p z - 2 b.z = c.
 
-    Fraction-free (Bareiss) elimination of z_0, ..., z_{k-1} from the
-    bordered matrix [[p, -b], [-b^T, -c]] gives, for Q_0 = z^T p z - 2 b.z - c,
+    p is a positive definite integer Gram. Fraction-free (Bareiss)
+    elimination of z_0, ..., z_{k-1} from the bordered matrix
+    [[p, -b], [-b^T, -c]] gives, for Q_0 = z^T p z - 2 b.z - c,
 
         a_i Q_i = (a_i z_i + L_i)^2 + prev_i Q_{i+1},
 
@@ -160,10 +163,16 @@ def _shell_points(p, b, c) -> list[tuple[int, ...]]:
     (a_0 z_0 + L_0)^2 = rem_1 leaves at most two roots (Fincke & Pohst's
     recursion restricted to the boundary). Points come out in ascending
     (z_{k-1}, ..., z_0) order.
+
+    Setting z_i at level i adds z_i cols[i] to the partial image the next
+    level receives, so a point costs one vector step, not one dot product
+    per coordinate. Level 0 is solved inside the level-1 loop: a level-1
+    child whose rem_1 is not a square costs one isqrt and no vector step.
+    With base = 0 and cols the identity the images are the points z.
     """
     k = len(p)
     if k == 0:
-        return [()] if c == 0 else []
+        return [tuple(base)] if c == 0 else []
     m = [list(row) + [-bi] for row, bi in zip(p, b)] + [[-bi for bi in b] + [-c]]
     levels = []
     prev = 1
@@ -179,29 +188,47 @@ def _shell_points(p, b, c) -> list[tuple[int, ...]]:
         prev = a
     out: list[tuple[int, ...]] = []
     z = [0] * k
+    a0, row0, _ = levels[0]
+    col0 = cols[0]
 
-    def rec(i: int, rem: int) -> None:
+    def leaf(r: int, lin0: int, w) -> None:
+        # the roots z_0 of (a_0 z_0 + L_0)^2 = r^2
+        for t in ((-r, r) if r else (0,)):
+            z0, off = divmod(t - lin0, a0)
+            if off == 0:
+                out.append(tuple([x + z0 * y for x, y in zip(w, col0)]))
+
+    def rec(i: int, rem: int, w) -> None:
         a, row, prev = levels[i]
-        lin = sum(rj * zj for rj, zj in zip(row, z[i + 1:])) + row[-1]
-        if i == 0:
-            r = math.isqrt(rem)
-            if r * r == rem:
-                for t in ((-r, r) if r else (0,)):
-                    z0, off = divmod(t - lin, a)
-                    if off == 0:
-                        z[0] = z0
-                        out.append(tuple(z))
-            return
+        lin = sum(map(mul, row, z[i + 1:])) + row[-1]
         top = prev * rem
         s = math.isqrt(top)
-        for zi in range(-((lin + s) // a), (s - lin) // a + 1):
-            z[i] = zi
+        col = cols[i]
+        zs = range(-((lin + s) // a), (s - lin) // a + 1)
+        if i > 1:
+            for zi in zs:
+                z[i] = zi
+                t = a * zi + lin
+                rec(i - 1, (top - t * t) // a, [x + zi * y for x, y in zip(w, col)])
+            return
+        # L_0 = row0[0] z_1 + (the part fixed above level 1)
+        lin0 = sum(map(mul, row0[1:], z[2:])) + row0[-1]
+        for zi in zs:
             t = a * zi + lin
-            rec(i - 1, (top - t * t) // a)
+            rem0 = (top - t * t) // a
+            r = math.isqrt(rem0)
+            if r * r == rem0:
+                leaf(r, lin0 + row0[0] * zi, [x + zi * y for x, y in zip(w, col)])
 
     rem = -m[0][0]  # -Q_k, a constant once every z_i is eliminated
-    if rem >= 0:
-        rec(k - 1, rem)
+    if rem < 0:
+        return out
+    if k > 1:
+        rec(k - 1, rem, base)
+    else:
+        r = math.isqrt(rem)
+        if r * r == rem:
+            leaf(r, row0[-1], base)
     return out
 
 
@@ -248,16 +275,16 @@ class _ShellFrame:
     """Integer data every shell class of one lattice, type and ample class needs.
 
     With g, x_unit and the kernel basis K of `_ample_frame` and G the
-    Gram matrix: kernel_rows[r] and gram_kernel_rows[r] are row r of K and
-    of G K (so a coordinate of K z or of G K z is one dot product with z),
+    Gram matrix: columns[i] = u || G u for the i-th kernel vector u, so
+    a class v = m x_unit + K z and its pairing vector G v are the two
+    halves of one affine image m (x_unit || G x_unit) + sum_i z_i columns[i];
     p_matrix is the positive definite -K^T G K, x_unit,
     gram_x_unit = G x_unit, b_unit = K^T G x_unit and c_unit = norm(x_unit)
     describe the pairing-g translate, and div_table is `profile_table(t)`.
     """
 
     g: int
-    kernel_rows: tuple[Vec, ...]
-    gram_kernel_rows: tuple[Vec, ...]
+    columns: tuple[Vec, ...]
     p_matrix: tuple[Vec, ...]
     x_unit: Vec
     gram_x_unit: Vec
@@ -272,11 +299,9 @@ def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFram
     g, x_unit, kernel = _ample_frame(lattice, ample)
     gram_kernel = [gram_vec(lattice, u) for u in kernel]
     gram_x_unit = gram_vec(lattice, x_unit)
-    n = lattice.rank
     return _ShellFrame(
         g=g,
-        kernel_rows=tuple(tuple(u[r] for u in kernel) for r in range(n)),
-        gram_kernel_rows=tuple(tuple(gu[r] for gu in gram_kernel) for r in range(n)),
+        columns=tuple(u + gu for u, gu in zip(kernel, gram_kernel)),
         p_matrix=tuple(tuple(-dot(u, gw) for gw in gram_kernel) for u in kernel),
         x_unit=x_unit,
         gram_x_unit=gram_x_unit,
@@ -293,25 +318,19 @@ def _profile_classes(frame: _ShellFrame, m: int):
     x_p = m x_unit has G x_p = m G x_unit, b = K^T G x_p = m b_unit and
     norm(x_p) = m^2 c_unit exactly, and norm(v) = norm(x_p) + 2 b.z - z^T p z,
     so norm = square is the shell equation z^T p z - 2 b.z = norm(x_p) - square.
-    Squares are visited in ascending order. For a shell point z, each
-    coordinate of v and of G v = G x_p + (G K) z is one dot product with z.
-    gcd(v) is tested first: a non-primitive v is dropped whatever its
-    divisibility, so G v, whose gcd is the divisibility, is built only for
-    primitive v.
+    Squares are visited in ascending order. `_shell_points` carries each
+    point's image w = (x_p || G x_p) + sum_i z_i columns[i] down its
+    recursion, so w is v followed by G v. gcd(v) is tested first: a
+    non-primitive v is dropped whatever its divisibility, which is gcd(G v).
     """
-    x_p = [m * x for x in frame.x_unit]
-    gram_x_p = [m * x for x in frame.gram_x_unit]
+    n = len(frame.x_unit)
+    base = [m * x for x in frame.x_unit + frame.gram_x_unit]
     b = [m * x for x in frame.b_unit]
     c0 = m * m * frame.c_unit
-    v_rows = list(zip(x_p, frame.kernel_rows))
-    gram_v_rows = list(zip(gram_x_p, frame.gram_kernel_rows))
     for square, allowed in frame.div_table:
-        for z in _shell_points(frame.p_matrix, b, c0 - square):
-            v = tuple([x + sum(map(mul, z, row)) for x, row in v_rows])
-            if math.gcd(*v) != 1:
-                continue
-            div = math.gcd(*[x + sum(map(mul, z, row)) for x, row in gram_v_rows])
-            if div_matches(div, allowed):
+        for w in _shell_points(frame.p_matrix, b, c0 - square, base, frame.columns):
+            v = w[:n]
+            if math.gcd(*v) == 1 and div_matches(math.gcd(*w[n:]), allowed):
                 yield v
 
 
@@ -329,8 +348,8 @@ def enumerate_exceptional(
     out the shell of an ellipsoid. `_shell_points` lists exactly its integer
     points by fraction-free integer elimination; no point inside the shell
     is visited. The integer data of the split (`_ShellFrame`) is built once,
-    and each level m = p // g scales it, so a shell point costs a few dot
-    products. Output is sorted lexicographically; canonical sign (positive
+    and each level m = p // g scales it, so a shell point costs one vector
+    step. Output is sorted lexicographically; canonical sign (positive
     ample-pairing) is automatic, and no class repeats: [x_unit | K] is
     unimodular, so v = m x_unit + K z is injective, and squares differ.
     """

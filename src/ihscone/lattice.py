@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import index, mul
 from typing import Sequence
 
 from .errors import (
@@ -25,7 +26,14 @@ Mat = tuple[Vec, ...]
 
 
 def _as_vec(v: Sequence[int]) -> Vec:
-    return tuple(int(x) for x in v)
+    """v as a tuple of ints; a bool or a non-integer entry is an InputFormatError."""
+    try:
+        w = tuple(map(index, v))
+    except TypeError as exc:
+        raise InputFormatError(f"expected integer entries, got {v!r}") from exc
+    if bool in map(type, v):
+        raise InputFormatError(f"expected integer entries, got a boolean in {v!r}")
+    return w
 
 
 def identity_matrix(n: int) -> list[list[int]]:
@@ -33,7 +41,7 @@ def identity_matrix(n: int) -> list[list[int]]:
 
 
 def mat_vec(m, v) -> Vec:
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def det_int(m) -> int:
@@ -69,7 +77,7 @@ class Lattice:
     label: str = ""
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(_as_vec(row) for row in self.gram)
         object.__setattr__(self, "gram", g)
         n = len(g)
         if n == 0:
@@ -107,7 +115,7 @@ def pairing(L: Lattice, v: Sequence[int], w: Sequence[int]) -> int:
     """Bilinear form value v^T * gram * w."""
     a = L.check_vector(v)
     b = L.check_vector(w)
-    return sum(a[i] * L.gram[i][j] * b[j] for i in range(L.rank) for j in range(L.rank))
+    return sum(map(mul, a, mat_vec(L.gram, b)))
 
 
 def norm(L: Lattice, v: Sequence[int]) -> int:

@@ -97,9 +97,9 @@ def render_section(analysis: ConeAnalysis) -> str:
     p = frame.p_matrix
     theta, rx, ry = _ellipse_geometry(p, qa)
 
-    gram_kernel_cols = tuple(zip(*frame.gram_kernel_rows))
+    # columns[i] = u_i || G u_i, so pairing(u_i, wall) is wall . columns[i][3:]
     lines = [
-        (wall, pairing(lattice, ample, wall), *(dot(wall, col) for col in gram_kernel_cols))
+        (wall, pairing(lattice, ample, wall), *(dot(wall, col[3:]) for col in frame.columns))
         for wall in analysis.chamber_walls
     ]
     chords = [_wall_chord(p, qa, *line) for line in lines]

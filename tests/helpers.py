@@ -191,6 +191,14 @@ def box_oracle(lat: Lattice, dtype, bound_b: int) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(found))
 
 
+def shell_z_points(p, b, c):
+    """The integer points z of the shell z^T p z - 2 b.z = c, in lister order:
+    `_shell_points` with base 0 and the identity columns, whose images are z."""
+    k = len(p)
+    identity = [tuple(int(i == j) for j in range(k)) for i in range(k)]
+    return _shell_points(p, b, c, (0,) * k, identity)
+
+
 def reference_profile_levels(lat: Lattice, dtype, ample, bound_b: int):
     """Classes of each ample-pairing level, rebuilt class by class.
 
@@ -215,7 +223,7 @@ def reference_profile_levels(lat: Lattice, dtype, ample, bound_b: int):
         c0 = norm(lat, x_p)
         found = []
         for square in sorted(table):
-            for z in _shell_points(p_matrix, b, c0 - square):
+            for z in shell_z_points(p_matrix, b, c0 - square):
                 v = tuple(
                     x + sum(zi * u[r] for zi, u in zip(z, kernel))
                     for r, x in enumerate(x_p)

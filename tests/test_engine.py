@@ -40,6 +40,7 @@ from tests.helpers import (
     rank_is_wall,
     reference_profile_levels,
     reference_rank2_rays,
+    shell_z_points,
     transported,
 )
 
@@ -61,6 +62,10 @@ def test_enumeration_bound_validation():
         EnumerationBound(wall_test_limit=-1)
     with pytest.raises(PreconditionError):
         EnumerationBound(pell_index_cap=2.5)
+    # a bool is an int to isinstance, and the report would print it as true
+    for name in ("max_ample_pairing", "wall_test_limit", "pell_index_cap"):
+        with pytest.raises(PreconditionError):
+            EnumerationBound(**{name: True})
 
 
 def test_enumerate_frozen_rank3():
@@ -479,17 +484,24 @@ def _random_positive_definite(rng, k):
             return p
 
 
-def test_shell_points_matches_brute_force():
-    # z^T p z - 2 b.z = c is the ellipsoid (z - m)^T p (z - m) = R with
-    # m = p^-1 b and R = c + b.m, whose bounding box is
-    # |z_i - m_i| <= sqrt(R (p^-1)_ii); the scan covers that box.
+def _shell_systems():
+    """150 seeded shells z^T p z - 2 b.z = c with k = 1..3."""
     rng = random.Random(314)
-    seen = 0
     for _ in range(150):
         k = rng.randint(1, 3)
         p = _random_positive_definite(rng, k)
         b = [rng.randint(-3, 3) for _ in range(k)]
         c = rng.randint(-6, 30)
+        yield p, b, c
+
+
+def test_shell_points_matches_brute_force():
+    # z^T p z - 2 b.z = c is the ellipsoid (z - m)^T p (z - m) = R with
+    # m = p^-1 b and R = c + b.m, whose bounding box is
+    # |z_i - m_i| <= sqrt(R (p^-1)_ii); the scan covers that box.
+    seen = 0
+    for p, b, c in _shell_systems():
+        k = len(p)
         inv = inverse(p)
         m = [sum(inv[i][j] * b[j] for j in range(k)) for i in range(k)]
         radius = c + sum(bi * mi for bi, mi in zip(b, m))
@@ -504,27 +516,50 @@ def test_shell_points_matches_brute_force():
             - 2 * sum(bi * zi for bi, zi in zip(b, z)) == c
         ]
         # ascending (z_{k-1}, ..., z_0): the order the witness note depends on
-        assert _shell_points(p, b, c) == brute
+        assert shell_z_points(p, b, c) == brute
         seen += len(brute)
     assert seen > 100
 
 
+def test_shell_points_affine_images():
+    # the image carried down the recursion is base + sum_i z_i cols[i] of
+    # each point the identity call lists, in the same order, for images of
+    # any length and entries far beyond the shell's
+    rng = random.Random(1985)
+    seen = 0
+    for p, b, c in _shell_systems():
+        k = len(p)
+        width = rng.randint(1, 7)
+        base = tuple(rng.randint(-10**12, 10**12) for _ in range(width))
+        cols = [tuple(rng.randint(-50, 50) for _ in range(width)) for _ in range(k)]
+        expected = [
+            tuple(x + sum(zi * col[r] for zi, col in zip(z, cols)) for r, x in enumerate(base))
+            for z in shell_z_points(p, b, c)
+        ]
+        assert _shell_points(p, b, c, base, cols) == expected
+        seen += len(expected)
+    assert seen > 100
+
+
 def test_shell_points_edge_cases():
-    # rank-1 lattices have an empty ample kernel
-    assert _shell_points([], [], 0) == [()]
-    assert _shell_points([], [], 3) == []
+    # rank-1 lattices have an empty ample kernel: the one point z = () has
+    # image base
+    assert shell_z_points([], [], 0) == [()]
+    assert shell_z_points([], [], 3) == []
+    assert _shell_points([], [], 0, (4, -1), ()) == [(4, -1)]
+    assert _shell_points([], [], 3, (4, -1), ()) == []
     with pytest.raises(ContractViolationError):
-        _shell_points([[1, 2], [2, 1]], [0, 0], 1)
+        shell_z_points([[1, 2], [2, 1]], [0, 0], 1)
 
 
-def test_enumerate_matches_per_class_reference():
-    # the frame scales one split to every pairing level; rebuilding each
-    # class with pairing/norm/is_primitive/divisibility must give the same
-    # classes in the same order, witness included
+def _reference_cases():
+    """(lattice, type, ample, bound) for the per-class reference: 60 random
+    rank 2-7 systems, then rank 8, the shell workload's top rank, in random
+    unimodular bases, where every level of the recursion carries a nonzero
+    partial image."""
     rng = random.Random(2718)
     types = [K3, parse_type("K3[n]", 2), parse_type("K3[n]", 3), parse_type("Kum[n]", 2),
              parse_type("OG6"), parse_type("OG10")]
-    classes = levels_above_one = witnesses = 0
     for _ in range(60):
         rank = rng.randint(2, 7)
         diag = [rng.choice((1, 2, 4))] + [-rng.choice((1, 2, 2, 4, 6)) for _ in range(rank - 1)]
@@ -539,8 +574,25 @@ def test_enumerate_matches_per_class_reference():
         ample0 = tuple(scale * x for x in ample0)
         lat, (ample,) = transported(rng, base, [ample0])
         t = rng.choice(types)
+        g = _shell_frame(lat, t, ample).g
+        yield lat, t, ample, g * rng.randint(1, 3) + rng.randint(0, 4 if rank <= 5 else 1)
+    rng = random.Random(8)
+    base = Lattice(tuple(
+        tuple((2 if i == 0 else -2) if i == j else 0 for j in range(8)) for i in range(8)
+    ))
+    for ample0, t, bnd in (((3, 1, 1, 0, 0, 0, 0, 0), K3, 8),
+                           ((2, 1, 0, 0, 0, 0, 0, 0), parse_type("OG10"), 6)):
+        lat, (ample,) = transported(rng, base, [ample0])
+        yield lat, t, ample, bnd
+
+
+def test_enumerate_matches_per_class_reference():
+    # the frame scales one split to every pairing level; rebuilding each
+    # class with pairing/norm/is_primitive/divisibility must give the same
+    # classes in the same order, witness included
+    classes = levels_above_one = witnesses = rank8 = 0
+    for lat, t, ample, bnd in _reference_cases():
         frame = _shell_frame(lat, t, ample)
-        bnd = frame.g * rng.randint(1, 3) + rng.randint(0, 4 if rank <= 5 else 1)
         expected = reference_profile_levels(lat, t, ample, bnd)
         assert sorted(expected) == list(range(bnd // frame.g + 1))
         for m, found in expected.items():
@@ -552,4 +604,7 @@ def test_enumerate_matches_per_class_reference():
         assert got == tuple(sorted(set(v for m in expected if m for v in expected[m])))
         classes += len(got)
         levels_above_one += frame.g > 1 and len(expected) > 2
-    assert classes > 800 and levels_above_one >= 15 and witnesses >= 15
+        if lat.rank == 8:
+            assert any(lat.gram[i][j] for i in range(8) for j in range(i))
+            rank8 += len(got)
+    assert classes > 900 and levels_above_one >= 15 and witnesses >= 15 and rank8 > 100

@@ -23,6 +23,7 @@ from ihscone.lattice import (
     eichler_equivalent,
     gram_vec,
     is_primitive,
+    mat_vec,
     norm,
     pairing,
     signature,
@@ -69,6 +70,51 @@ def test_is_primitive():
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         pairing(U, (1, 0, 0), (0, 1))
+    with pytest.raises(DimensionMismatchError):
+        pairing(U, (1, 0), (0, 1, 0))
+    with pytest.raises(DimensionMismatchError):
+        gram_vec(U, (1,))
+
+
+def test_primitives_match_naive_double_loop():
+    # 100-digit entries: the row-at-a-time sums must stay exact
+    rng = random.Random(100)
+    big = 10**100
+    for n in range(1, 9):
+        gram = tuple(tuple(rng.randint(-big, big) for _ in range(n)) for _ in range(n))
+        v = tuple(rng.randint(-big, big) for _ in range(n))
+        w = tuple(rng.randint(-big, big) for _ in range(n))
+        naive_mv = tuple(sum(gram[i][j] * v[j] for j in range(n)) for i in range(n))
+        assert mat_vec(gram, v) == naive_mv
+        sym = tuple(tuple(gram[i][j] + gram[j][i] for j in range(n)) for i in range(n))
+        if det_int(sym) == 0:
+            continue
+        lat = Lattice(sym)
+        assert gram_vec(lat, v) == tuple(
+            sum(sym[i][j] * v[j] for j in range(n)) for i in range(n)
+        )
+        assert pairing(lat, v, w) == sum(
+            v[i] * sym[i][j] * w[j] for i in range(n) for j in range(n)
+        )
+
+
+@pytest.mark.parametrize(
+    "vector", [(1.5, 1), (1, True), (True, 0), (Fraction(1), 0), ("1", 0), (1.0, 0)]
+)
+def test_vectors_must_have_integer_entries(vector):
+    # int() would truncate 1.5 and turn True into 1
+    with pytest.raises(InputFormatError):
+        U.check_vector(vector)
+    with pytest.raises(InputFormatError):
+        pairing(U, (1, 0), vector)
+
+
+@pytest.mark.parametrize(
+    "gram", [((2.9, 0), (0, -2)), ((2, 0), (0, False)), ((True, 0), (0, -2))]
+)
+def test_gram_must_have_integer_entries(gram):
+    with pytest.raises(InputFormatError):
+        Lattice(gram)
 
 
 def test_degenerate_gram_rejected_at_construction():
