@@ -148,9 +148,10 @@ def smith_normal_form(mat: Sequence[Sequence[int]]):
     """Smith normal form with transforms: returns (D, U, V), U*mat*V = D.
 
     D is diagonal with nonnegative entries d1 | d2 | ... ; U and V are
-    unimodular.  Works for any integer matrix, not only square ones.
+    unimodular.  Works for any integer matrix, not only square ones; a bool
+    or a non-integer entry is an InputFormatError.
     """
-    a = [[int(x) for x in row] for row in mat]
+    a = [list(_as_vec(row)) for row in mat]
     m = len(a)
     n = len(a[0]) if m else 0
     for row in a:

@@ -5,12 +5,13 @@ positive cone, drawn in the chart ample + s*u1 + t*u2 where (u1, u2) is the
 kernel basis of the analysis' shell frame. On that slice the cone boundary is
 an ellipse, every chamber wall w cuts a chord and meets the plane in one
 point, both exact functions of p = -K^T G K and the triple (pairing(ample, w),
-pairing(u1, w), pairing(u2, w)). Only the drawing is rounded, at the end.
+pairing(u1, w), pairing(u2, w)). These are computed in integers, and each
+drawn number is rounded once, by one integer true division (int / int is
+correctly rounded), before the float steps of the drawing.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .engine import ConeAnalysis, _shell_frame
 from .errors import PreconditionError
@@ -26,45 +27,45 @@ def _f(x: float) -> str:
 
 
 def _ellipse_geometry(p, q_ample: int):
-    """Center 0 ellipse {v : v^T p v = q_ample}: rotation angle and radii."""
+    """Center 0 ellipse {v : v^T p v = q_ample}: rotation angle and radii.
+
+    The minor eigenvalue is det(p) / lam1, by one integer division (summed
+    like lam1, whose terms share a sign, it cancels on an ill-conditioned p).
+    """
     a, b, c = float(p[0][0]), float(p[0][1]), float(p[1][1])
     theta = 0.5 * math.atan2(2.0 * b, a - c) if (b or a != c) else 0.0
     cos_t, sin_t = math.cos(theta), math.sin(theta)
     lam1 = a * cos_t * cos_t + 2.0 * b * cos_t * sin_t + c * sin_t * sin_t
-    lam2 = a * sin_t * sin_t - 2.0 * b * cos_t * sin_t + c * cos_t * cos_t
     rx = math.sqrt(q_ample / lam1)
-    ry = math.sqrt(q_ample / lam2)
+    det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
+    n, d = lam1.as_integer_ratio()
+    ry = math.sqrt(q_ample * n / (det * d))
     return theta, rx, ry
 
 
 def _wall_chord(p, qa: int, wall, w0: int, w1: int, w2: int):
     """Endpoints of {pairing(x, wall) = 0} on the boundary ellipse.
 
-    In chart coordinates the wall is w0 + s*w1 + t*w2 = 0 with w0 > 0; the
-    line always crosses the ellipse interior because the wall hyperplane of a
-    negative class meets the positive cone.
+    In chart coordinates the wall is w0 + s*w1 + t*w2 = 0 with w0 > 0; it
+    crosses the ellipse interior because the wall hyperplane of a negative
+    class meets the positive cone. With u = (w1, w2), den = u.u, d = (-w2, w1)
+    it is -(w0/den)*u + tau*d, on the ellipse where the integers a = d^T p d,
+    b = u^T p d, c = u^T p u give a*tau^2 - 2*(w0*b/den)*tau +
+    w0^2*c/den^2 - qa = 0, whose discriminant is disc / den^2.
     """
-    # point on the line nearest the origin in the (s, t) chart, direction along it
+    (p00, p01), (_, p11) = p
     den = w1 * w1 + w2 * w2
-    base = (Fraction(-w0 * w1, den), Fraction(-w0 * w2, den))
-    direction = (Fraction(-w2), Fraction(w1))
-    # quadratic A tau^2 + 2 B tau + C = 0 for base + tau*direction on the ellipse
-    def form(x, y):
-        return p[0][0] * x[0] * y[0] + p[0][1] * (x[0] * y[1] + x[1] * y[0]) + p[1][1] * x[1] * y[1]
-
-    a2 = form(direction, direction)
-    b1 = form(base, direction)
-    c0 = form(base, base) - qa
-    disc = b1 * b1 - a2 * c0
+    a = p00 * w2 * w2 - 2 * p01 * w1 * w2 + p11 * w1 * w1
+    b = (p11 - p00) * w1 * w2 + p01 * (w1 * w1 - w2 * w2)
+    c = p00 * w1 * w1 + 2 * p01 * w1 * w2 + p11 * w2 * w2
+    disc = w0 * w0 * (b * b - a * c) + a * qa * den * den
     if disc <= 0:
-        raise PreconditionError(
-            f"wall {wall} does not cross the positive-cone section"
-        )
-    root = math.sqrt(float(disc))
-    taus = ((-float(b1) - root) / float(a2), (-float(b1) + root) / float(a2))
+        raise PreconditionError(f"wall {wall} does not cross the positive-cone section")
+    mid = w0 * b / den
+    root = math.sqrt(disc / (den * den))
     return [
-        (float(base[0]) + tau * float(direction[0]), float(base[1]) + tau * float(direction[1]))
-        for tau in taus
+        (-w0 * w1 / den - tau * w2, -w0 * w2 / den + tau * w1)
+        for tau in ((mid - root) / a, (mid + root) / a)
     ]
 
 
@@ -77,11 +78,9 @@ def _ray_point(p, qa: int, ray, w0: int, w1: int, w2: int):
     """
     if w0 <= 0:
         raise PreconditionError(f"ray {ray} does not meet the ample section")
-    lam = Fraction(qa, w0)
-    det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
-    s = -lam * (p[1][1] * w1 - p[0][1] * w2) / det
-    t = -lam * (p[0][0] * w2 - p[1][0] * w1) / det
-    return float(s), float(t)
+    (p00, p01), (p10, p11) = p
+    den = w0 * (p00 * p11 - p01 * p10)
+    return -qa * (p11 * w1 - p01 * w2) / den, -qa * (p00 * w2 - p10 * w1) / den
 
 
 def render_section(analysis: ConeAnalysis) -> str:

@@ -3,13 +3,14 @@
 Everything here is deliberately written from scratch against the
 definitions, not by calling back into the code under test, so the test
 suite has a second opinion on the hard parts (Pell solving, bounded
-class enumeration, chamber walls, rank-2 boundary rays). The Eff/Mov
-duality round trip is the exception: it runs the library's double
-description twice, as an oracle for the duality that `engine.analyze`
-proves.
+class enumeration, chamber walls, rank-2 boundary rays, section geometry
+in `Fraction`s). The Eff/Mov duality round trip is the exception: it runs
+the library's double description twice, as an oracle for the duality that
+`engine.analyze` proves.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,8 +18,9 @@ from itertools import combinations
 from math import gcd, isqrt, lcm
 
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
+from ihscone.catalog import parse_type
 from ihscone.engine import Rank2Report, RayDescriptor, _ample_frame, _shell_points
-from ihscone.errors import MixedRationalityError
+from ihscone.errors import MixedRationalityError, PreconditionError
 from ihscone.lattice import det_int, divisibility, gram_vec, is_primitive, pairing
 from ihscone.pell import is_perfect_square
 from ihscone.polyhedra import canonical_ray, dd_generators, fm_satisfiable
@@ -75,13 +77,13 @@ def apply_matrix(m, v) -> tuple[int, ...]:
     return tuple(sum(m[i][k] * v[k] for k in range(len(v))) for i in range(len(m)))
 
 
-def transported(rng: random.Random, base: Lattice, vectors):
+def transported(rng: random.Random, base: Lattice, vectors, ops: int | None = None):
     """Rewrite (base, vectors) in a random basis.
 
     The new lattice is p^T G p; a vector v of the old lattice becomes
     p^{-1} v, which preserves all pairings, norms and divisibilities.
     """
-    p = rand_unimodular(rng, base.rank)
+    p = rand_unimodular(rng, base.rank, ops)
     pinv = inverse(p)
     lat = Lattice(congruate(base.gram, p))
     return lat, [apply_matrix(pinv, v) for v in vectors]
@@ -548,3 +550,73 @@ def rand_profile_root(rng: random.Random, profile, rank: int):
     root0 = (0, 1) + (0,) * (rank - 2)
     lat, (root,) = transported(rng, base, [root0])
     return lat, root
+
+
+SECTION_TYPES = (
+    ("K3", None), ("K3[n]", 2), ("K3[n]", 3), ("Kum[n]", 2), ("OG6", None), ("OG10", None)
+)
+
+
+def rand_sheared_section(rng: random.Random):
+    """(type, lattice, ample, bound) for a rank-3 section: a diagonal form
+    and a positive vector in a random basis of 6-20 shears, whose kernel
+    Gram matrix is often ill-conditioned."""
+    tag, n = rng.choice(SECTION_TYPES)
+    base = Lattice(rand_diag_gram(rng, 3, pos_max=6, neg_max=8))
+    while True:
+        a0 = (rng.randint(1, 3), rng.randint(-2, 2), rng.randint(-2, 2))
+        if norm(base, a0) > 0:
+            break
+    lat, (ample,) = transported(rng, base, [a0], ops=rng.randint(6, 20))
+    return parse_type(tag, n), lat, ample, rng.randint(4, 24)
+
+
+# ------------------------------------------------------- section geometry
+# The chord and marker formulas of `svg` evaluated in `Fraction`s, each
+# float taken from an exact rational at the end.
+
+def fraction_wall_chord(p, qa: int, wall, w0: int, w1: int, w2: int):
+    """Endpoints of {pairing(x, wall) = 0} on the boundary ellipse.
+
+    In chart coordinates the wall is w0 + s*w1 + t*w2 = 0 with w0 > 0; the
+    line always crosses the ellipse interior because the wall hyperplane of a
+    negative class meets the positive cone.
+    """
+    # point on the line nearest the origin in the (s, t) chart, direction along it
+    den = w1 * w1 + w2 * w2
+    base = (Fraction(-w0 * w1, den), Fraction(-w0 * w2, den))
+    direction = (Fraction(-w2), Fraction(w1))
+    # quadratic A tau^2 + 2 B tau + C = 0 for base + tau*direction on the ellipse
+    def form(x, y):
+        return p[0][0] * x[0] * y[0] + p[0][1] * (x[0] * y[1] + x[1] * y[0]) + p[1][1] * x[1] * y[1]
+
+    a2 = form(direction, direction)
+    b1 = form(base, direction)
+    c0 = form(base, base) - qa
+    disc = b1 * b1 - a2 * c0
+    if disc <= 0:
+        raise PreconditionError(
+            f"wall {wall} does not cross the positive-cone section"
+        )
+    root = math.sqrt(float(disc))
+    taus = ((-float(b1) - root) / float(a2), (-float(b1) + root) / float(a2))
+    return [
+        (float(base[0]) + tau * float(direction[0]), float(base[1]) + tau * float(direction[1]))
+        for tau in taus
+    ]
+
+
+def fraction_ray_point(p, qa: int, ray, w0: int, w1: int, w2: int):
+    """Chart coordinates (s, t) where the ray meets the section plane.
+
+    The ray meets it at (qa/w0)*ray = ample + s*u1 + t*u2. The kernel
+    vectors pair to 0 with the ample class, so pairing both sides with u1
+    and u2 gives (qa/w0)*(w1, w2) = -p (s, t).
+    """
+    if w0 <= 0:
+        raise PreconditionError(f"ray {ray} does not meet the ample section")
+    lam = Fraction(qa, w0)
+    det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
+    s = -lam * (p[1][1] * w1 - p[0][1] * w2) / det
+    t = -lam * (p[0][0] * w2 - p[1][0] * w1) / det
+    return float(s), float(t)

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -311,6 +312,35 @@ def test_plot_section_end_to_end(tmp_path, capsys):
     assert code == 0
     assert out.startswith("<svg ")
     assert out.count("<line") == 4 and out.count("<circle") == 4
+
+
+# sheared charts whose kernel Gram matrix is so ill-conditioned that the
+# minor eigenvalue summed in floats came out negative (math domain error) or
+# zero (float division by zero)
+ILL_CONDITIONED_SECTIONS = [
+    {
+        "gram": [[9624, 906, 3024], [906, 82, 282], [3024, 282, 948]],
+        "type": "K3[n]",
+        "n": 3,
+        "ample": [-3, 1, 3],
+        "bound": {"max_ample_pairing": 4},
+    },
+    {
+        "gram": [[62, 266, -782], [266, 1106, -3270], [-782, -3270, 9658]],
+        "type": "K3[n]",
+        "n": 2,
+        "ample": [-2, -3, 3],
+    },
+]
+
+
+@pytest.mark.parametrize("doc", ILL_CONDITIONED_SECTIONS, ids=["domain", "zero-division"])
+def test_plot_section_on_ill_conditioned_chart(tmp_path, capsys, doc):
+    code, out, err = _run(capsys, ["plot-section", "--input", _write(tmp_path, doc)])
+    assert (code, err) == (0, "")
+    root = ET.fromstring(out)
+    assert root.tag == "{http://www.w3.org/2000/svg}svg"
+    assert root[0].tag == "{http://www.w3.org/2000/svg}ellipse"
 
 
 # ------------------------------------------------------- exit codes, errors

@@ -136,6 +136,16 @@ def test_snf_frozen():
     assert d == ((1, 0), (0, 1))
 
 
+@pytest.mark.parametrize(
+    "mat", [((2.5, 1), (True, 3)), ((Fraction(7, 2), 1), (0, 3)), ((2, 1), (1, True))]
+)
+def test_snf_entries_must_be_integers(mat):
+    # int() would truncate 2.5 and 7/2 and turn True into 1, giving a Smith
+    # form of some other matrix
+    with pytest.raises(InputFormatError):
+        smith_normal_form(mat)
+
+
 def _mat_mul(a, b):
     return [
         [sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]

@@ -1,13 +1,24 @@
 """Deterministic SVG rendering of rank-3 cone sections."""
 import hashlib
+import random
 import re
+import xml.etree.ElementTree as ET
+from decimal import Decimal, localcontext
+from math import isqrt
 
 import pytest
 
 from ihscone.catalog import parse_type
 from ihscone.engine import EnumerationBound, analyze
-from ihscone.errors import PreconditionError
-from ihscone.svg import render_section
+from ihscone.errors import IHSConeError, PreconditionError
+from ihscone.svg import _ellipse_geometry, _ray_point, _wall_chord, render_section
+from tests.helpers import (
+    congruate,
+    fraction_ray_point,
+    fraction_wall_chord,
+    rand_sheared_section,
+    rand_unimodular,
+)
 
 K3 = parse_type("K3")
 RANK3 = ((2, 0, 0), (0, -2, 0), (0, 0, -2))
@@ -111,3 +122,100 @@ def test_section_bytes_pinned():
     assert digest.hexdigest() == (
         "fabe7364b73680c6ff2f12f4df9917bcd364718f59282268c863dac97c02104e"
     )
+
+
+# ------------------------------------------- integer geometry vs Fraction oracle
+
+
+def _rand_positive_form(rng):
+    """A positive definite symmetric 2x2 integer matrix: a sheared small
+    diagonal form, one with 30-digit entries, or a nearly singular one."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        diag = ((rng.randint(1, 9), 0), (0, rng.randint(1, 9)))
+        return congruate(diag, rand_unimodular(rng, 2, ops=rng.randint(0, 14)))
+    if kind == 1:
+        a, c = rng.randint(1, 10**30), rng.randint(1, 10**30)
+        r = isqrt(a * c - 1)
+        b = rng.randint(-r, r)
+    else:
+        # det = a*c - b^2 lies in [1, a] while b is up to 30 digits long
+        a = rng.randint(1, 10 ** rng.randint(1, 6))
+        b = rng.randint(-(10**30), 10**30)
+        c = b * b // a + 1
+    return ((a, b), (b, c))
+
+
+def _rand_int(rng, small):
+    return rng.randint(-(10**30), 10**30) if rng.random() < 0.2 else rng.randint(-small, small)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_section_geometry_matches_fraction_oracle():
+    rng = random.Random(15)
+    crossed = 0
+    for _ in range(5000):
+        p = _rand_positive_form(rng)
+        qa = rng.randint(1, 10**30) if rng.random() < 0.2 else rng.randint(1, 60)
+        w0 = _rand_int(rng, 40)
+        w1, w2 = 0, 0
+        while not (w1 or w2):
+            w1, w2 = _rand_int(rng, 30), _rand_int(rng, 30)
+        args = (p, qa, (w0, w1, w2), w0, w1, w2)
+        # exact float equality: one correctly rounded division per number
+        # gives the double that float(Fraction) gives
+        chord = _outcome(_wall_chord, *args)
+        assert chord == _outcome(fraction_wall_chord, *args), args
+        assert _outcome(_ray_point, *args) == _outcome(fraction_ray_point, *args), args
+        crossed += isinstance(chord, list)
+    # both sides of the crossing test are exercised
+    assert 500 < crossed < 4500
+
+
+def test_minor_radius_on_ill_conditioned_forms():
+    # ry against the 60-digit q / lam_min; summing the minor eigenvalue in
+    # floats lost all digits on such forms, or crashed
+    rng = random.Random(16)
+    for _ in range(2000):
+        p = _rand_positive_form(rng)
+        q = rng.randint(1, 60)
+        _, _, ry = _ellipse_geometry(p, q)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            a, b, c = (Decimal(x) for x in (p[0][0], p[0][1], p[1][1]))
+            lam_max = (a + c + ((a - c) ** 2 + 4 * b * b).sqrt()) / 2
+            ref = (q * lam_max / (a * c - b * b)).sqrt()
+            assert abs(Decimal(ry) - ref) <= Decimal("1e-14") * ref, p
+
+
+def test_minor_radius_of_a_form_with_160_digit_entries():
+    # det(p) = 4 * 10^320 is beyond the float range; it is never converted
+    huge = 2 * 10**160
+    theta, rx, ry = _ellipse_geometry(((huge, 0), (0, huge)), 4)
+    assert (theta, rx, ry) == (0.0, 1.4142135623730951e-80, 1.4142135623730951e-80)
+
+
+def test_sheared_sections_render_or_raise():
+    # seed 3 includes an ill-conditioned chart on which the float minor
+    # eigenvalue came out negative
+    rng = random.Random(3)
+    rendered = 0
+    for _ in range(200):
+        dtype, lattice, ample, bound = rand_sheared_section(rng)
+        try:
+            res = analyze(lattice, dtype, ample, EnumerationBound(max_ample_pairing=bound))
+            svg = render_section(res)
+        except IHSConeError:
+            continue
+        root = ET.fromstring(svg)
+        assert len(root) == 1 + 2 * len(res.chamber_walls)
+        ellipse = root[0].attrib
+        assert float(ellipse["rx"]) >= 0 and float(ellipse["ry"]) >= 0
+        rendered += 1
+    assert rendered > 150
