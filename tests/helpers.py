@@ -560,7 +560,7 @@ SECTION_TYPES = (
 def rand_sheared_section(rng: random.Random):
     """(type, lattice, ample, bound) for a rank-3 section: a diagonal form
     and a positive vector in a random basis of 6-20 shears, whose kernel
-    Gram matrix is often ill-conditioned."""
+    Gram matrix can be ill-conditioned."""
     tag, n = rng.choice(SECTION_TYPES)
     base = Lattice(rand_diag_gram(rng, 3, pos_max=6, neg_max=8))
     while True:
