@@ -6,15 +6,17 @@ truncated to classes v with 0 < pairing(v, ample) <= B, and every report
 names that truncation.
 
 Classes of a profile with a fixed ample pairing lie on the shell of an
-ellipsoid; `_shell_points` lists its integer points by fraction-free integer
-elimination, so the search uses integers only. Its output order is fixed
-because the ample-wall witness printed in reports is the first class it
-meets. The integer data a shell point needs to become a class (each kernel
-vector with its Gram image, the pairing-g translate, the profile table) is
-built once per analysis in a `_ShellFrame`. The lister carries each
-point's class and its Gram image down the recursion, so a point costs one
-vector step and two gcds; the ample-wall witness and the SVG chart reuse
-the frame.
+ellipsoid; `_eliminate` reduces it by fraction-free integer elimination and
+`_walk` lists its integer points, so the search uses integers only. Their
+output order is fixed because the ample-wall witness printed in reports is
+the first class it meets. The integer data a shell point needs to become a
+class (each kernel vector with its Gram image, the pairing-g translate, the
+profile table) and the elimination itself are built once per analysis in a
+`_ShellFrame`: every pairing level and profile square scales the frame's
+elimination (k + 1 integers) instead of eliminating again. The walk carries
+each point's class and its Gram image down the recursion, so a point costs
+one vector step and two gcds; the ample-wall witness and the SVG chart
+reuse the frame.
 
 Chamber walls come from the incidence of one double-description pass over
 the found classes and the ample class. The `analyze` docstring proves those
@@ -145,19 +147,48 @@ class ConeAnalysis:
 # exact ellipsoid shell enumeration
 
 
-def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
-    """Images base + sum_i z_i cols[i] of the integer z with z^T p z - 2 b.z = c.
+def _eliminate(p, b, c):
+    """Fraction-free (Bareiss) elimination of the shell z^T p z - 2 b.z = c.
 
-    p is a positive definite integer Gram. Fraction-free (Bareiss)
-    elimination of z_0, ..., z_{k-1} from the bordered matrix
+    Eliminating z_0, ..., z_{k-1} from the bordered matrix
     [[p, -b], [-b^T, -c]] gives, for Q_0 = z^T p z - 2 b.z - c,
 
         a_i Q_i = (a_i z_i + L_i)^2 + prev_i Q_{i+1},
 
     where Q_i and L_i involve only z_i, ..., z_{k-1}, a_i > 0 is the
     leading principal minor of p of size i + 1 and prev_i = a_{i-1}
-    (prev_0 = 1); every division is exact by Sylvester's identity. On the
-    shell Q_0 = 0 each rem_i = -Q_i is a nonnegative integer, so once
+    (prev_0 = 1); every division is exact by Sylvester's identity.
+    Returns (levels, border, rem): levels[i] = (a_i, row_i, prev_i) with
+    row_i the p-part of pivot row i (the coefficients of z_{i+1}, ...,
+    z_{k-1} in L_i), border[i] the constant term of L_i, and rem = -Q_k,
+    the constant left once every z_i is eliminated. A non-positive pivot
+    raises `ContractViolationError`: p is not positive definite.
+    """
+    k = len(p)
+    m = [list(row) + [-bi] for row, bi in zip(p, b)] + [[-bi for bi in b] + [-c]]
+    levels = []
+    border = []
+    prev = 1
+    for _ in range(k):
+        a, row = m[0][0], m[0][1:]
+        if a <= 0:
+            raise ContractViolationError("quadratic form is not positive definite")
+        levels.append((a, tuple(row[:-1]), prev))
+        border.append(row[-1])
+        m = [
+            [(a * x - ri * rj) // prev for x, rj in zip(mrow[1:], row)]
+            for mrow, ri in zip(m[1:], row)
+        ]
+        prev = a
+    return tuple(levels), tuple(border), -m[0][0]
+
+
+def _walk(levels, border, rem, base, cols) -> list[tuple[int, ...]]:
+    """Images base + sum_i z_i cols[i] of the shell points of an elimination.
+
+    (levels, border, rem) is what `_eliminate` returns, or a frame's
+    elimination scaled to one level and square (`_profile_classes`). On
+    the shell Q_0 = 0 each rem_i = -Q_i is a nonnegative integer, so once
     z_{i+1}, ..., z_{k-1} are fixed, (a_i z_i + L_i)^2 <= prev_i rem_{i+1}
     gives z_i an exact integer interval, and at the last level the equality
     (a_0 z_0 + L_0)^2 = rem_1 leaves at most two roots (Fincke & Pohst's
@@ -170,22 +201,15 @@ def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
     child whose rem_1 is not a square costs one isqrt and no vector step.
     With base = 0 and cols the identity the images are the points z.
     """
-    k = len(p)
+    k = len(levels)
+    if rem < 0:
+        return []
     if k == 0:
-        return [tuple(base)] if c == 0 else []
-    m = [list(row) + [-bi] for row, bi in zip(p, b)] + [[-bi for bi in b] + [-c]]
-    levels = []
-    prev = 1
-    for _ in range(k):
-        a, row = m[0][0], m[0][1:]
-        if a <= 0:
-            raise ContractViolationError("quadratic form is not positive definite")
-        levels.append((a, row, prev))
-        m = [
-            [(a * x - ri * rj) // prev for x, rj in zip(mrow[1:], row)]
-            for mrow, ri in zip(m[1:], row)
-        ]
-        prev = a
+        return [tuple(base)] if rem == 0 else []
+    if k == 1:
+        r = math.isqrt(rem)
+        if r * r != rem:
+            return []
     out: list[tuple[int, ...]] = []
     z = [0] * k
     a0, row0, _ = levels[0]
@@ -200,7 +224,7 @@ def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
 
     def rec(i: int, rem: int, w) -> None:
         a, row, prev = levels[i]
-        lin = sum(map(mul, row, z[i + 1:])) + row[-1]
+        lin = sum(map(mul, row, z[i + 1:])) + border[i]
         top = prev * rem
         s = math.isqrt(top)
         col = cols[i]
@@ -212,7 +236,7 @@ def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
                 rec(i - 1, (top - t * t) // a, [x + zi * y for x, y in zip(w, col)])
             return
         # L_0 = row0[0] z_1 + (the part fixed above level 1)
-        lin0 = sum(map(mul, row0[1:], z[2:])) + row0[-1]
+        lin0 = sum(map(mul, row0[1:], z[2:])) + border[0]
         for zi in zs:
             t = a * zi + lin
             rem0 = (top - t * t) // a
@@ -220,16 +244,19 @@ def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
             if r * r == rem0:
                 leaf(r, lin0 + row0[0] * zi, [x + zi * y for x, y in zip(w, col)])
 
-    rem = -m[0][0]  # -Q_k, a constant once every z_i is eliminated
-    if rem < 0:
-        return out
-    if k > 1:
-        rec(k - 1, rem, base)
+    if k == 1:
+        leaf(r, border[0], base)
     else:
-        r = math.isqrt(rem)
-        if r * r == rem:
-            leaf(r, row0[-1], base)
+        rec(k - 1, rem, base)
     return out
+
+
+def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
+    """Images base + sum_i z_i cols[i] of the integer z with z^T p z - 2 b.z = c.
+
+    p is a positive definite integer Gram: `_eliminate`, then `_walk`.
+    """
+    return _walk(*_eliminate(p, b, c), base, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -278,9 +305,15 @@ class _ShellFrame:
     Gram matrix: columns[i] = u || G u for the i-th kernel vector u, so
     a class v = m x_unit + K z and its pairing vector G v are the two
     halves of one affine image m (x_unit || G x_unit) + sum_i z_i columns[i];
-    p_matrix is the positive definite -K^T G K, x_unit,
-    gram_x_unit = G x_unit, b_unit = K^T G x_unit and c_unit = norm(x_unit)
-    describe the pairing-g translate, and div_table is `profile_table(t)`.
+    p_matrix is the positive definite -K^T G K, x_unit and
+    gram_x_unit = G x_unit describe the pairing-g translate, and div_table
+    is `profile_table(t)`.
+
+    levels, border_unit and rem_unit are `_eliminate` run once on
+    (p_matrix, b_unit, c_unit) with b_unit = K^T G x_unit and
+    c_unit = norm(x_unit); `_profile_classes` scales them to every level
+    and square instead of eliminating again. Building the frame is
+    therefore where a p_matrix that is not positive definite raises.
     """
 
     g: int
@@ -288,8 +321,9 @@ class _ShellFrame:
     p_matrix: tuple[Vec, ...]
     x_unit: Vec
     gram_x_unit: Vec
-    b_unit: Vec
-    c_unit: int
+    levels: tuple[tuple[int, Vec, int], ...]
+    border_unit: Vec
+    rem_unit: int
     div_table: tuple[tuple[int, tuple[int, ...]], ...]
 
 
@@ -299,14 +333,21 @@ def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFram
     g, x_unit, kernel = _ample_frame(lattice, ample)
     gram_kernel = [gram_vec(lattice, u) for u in kernel]
     gram_x_unit = gram_vec(lattice, x_unit)
+    p_matrix = tuple(tuple(-dot(u, gw) for gw in gram_kernel) for u in kernel)
+    levels, border_unit, rem_unit = _eliminate(
+        p_matrix,
+        [dot(u, gram_x_unit) for u in kernel],
+        dot(x_unit, gram_x_unit),
+    )
     return _ShellFrame(
         g=g,
         columns=tuple(u + gu for u, gu in zip(kernel, gram_kernel)),
-        p_matrix=tuple(tuple(-dot(u, gw) for gw in gram_kernel) for u in kernel),
+        p_matrix=p_matrix,
         x_unit=x_unit,
         gram_x_unit=gram_x_unit,
-        b_unit=tuple(dot(u, gram_x_unit) for u in kernel),
-        c_unit=dot(x_unit, gram_x_unit),
+        levels=levels,
+        border_unit=border_unit,
+        rem_unit=rem_unit,
         div_table=profile_table(t),
     )
 
@@ -317,18 +358,35 @@ def _profile_classes(frame: _ShellFrame, m: int):
     The classes are v = m x_unit + K z. By bilinearity the level-m translate
     x_p = m x_unit has G x_p = m G x_unit, b = K^T G x_p = m b_unit and
     norm(x_p) = m^2 c_unit exactly, and norm(v) = norm(x_p) + 2 b.z - z^T p z,
-    so norm = square is the shell equation z^T p z - 2 b.z = norm(x_p) - square.
-    Squares are visited in ascending order. `_shell_points` carries each
-    point's image w = (x_p || G x_p) + sum_i z_i columns[i] down its
-    recursion, so w is v followed by G v. gcd(v) is tested first: a
-    non-primitive v is dropped whatever its divisibility, which is gcd(G v).
+    so norm = square is the shell equation z^T p z - 2 b.z = c with
+    c = m^2 c_unit - square.
+
+    Its elimination is the frame's, scaled. By Sylvester's identity each
+    entry of a pivot row is a minor of the bordered matrix
+    [[p, -b], [-b^T, -c]]; the p-part does not involve b or c, and the
+    border entry has one column from -b and none from c, so it is linear
+    in b: m border_unit. The last corner is the whole determinant,
+    -det(p) c - b^T adj(p) b, so with b = m b_unit and c as above
+
+        rem = -(last corner) = m^2 (det(p) c_unit + b_unit^T adj(p) b_unit)
+              - det(p) square = m^2 rem_unit - det(p) square,
+
+    where det(p) is the last pivot a_{k-1} (1 when k = 0). A level
+    therefore starts from k + 1 integers, and the point order and every
+    integer are those of `_shell_points(p, m b_unit, m^2 c_unit - square, ...)`.
+
+    Squares are visited in ascending order. `_walk` carries each point's
+    image w = (x_p || G x_p) + sum_i z_i columns[i] down its recursion, so
+    w is v followed by G v. gcd(v) is tested first: a non-primitive v is
+    dropped whatever its divisibility, which is gcd(G v).
     """
     n = len(frame.x_unit)
     base = [m * x for x in frame.x_unit + frame.gram_x_unit]
-    b = [m * x for x in frame.b_unit]
-    c0 = m * m * frame.c_unit
+    border = [m * x for x in frame.border_unit]
+    rem0 = m * m * frame.rem_unit
+    det_p = frame.levels[-1][0] if frame.levels else 1
     for square, allowed in frame.div_table:
-        for w in _shell_points(frame.p_matrix, b, c0 - square, base, frame.columns):
+        for w in _walk(frame.levels, border, rem0 - det_p * square, base, frame.columns):
             v = w[:n]
             if math.gcd(*v) == 1 and div_matches(math.gcd(*w[n:]), allowed):
                 yield v
@@ -345,13 +403,14 @@ def enumerate_exceptional(
     Complete within the bound: for each attainable pairing value p the affine
     set {v : pairing(v, ample) = p} is a translated sublattice on which the
     form is negative definite, so the profile equation norm(v) = square cuts
-    out the shell of an ellipsoid. `_shell_points` lists exactly its integer
-    points by fraction-free integer elimination; no point inside the shell
-    is visited. The integer data of the split (`_ShellFrame`) is built once,
-    and each level m = p // g scales it, so a shell point costs one vector
-    step. Output is sorted lexicographically; canonical sign (positive
-    ample-pairing) is automatic, and no class repeats: [x_unit | K] is
-    unimodular, so v = m x_unit + K z is injective, and squares differ.
+    out the shell of an ellipsoid. `_walk` lists exactly its integer
+    points from a fraction-free integer elimination; no point inside the
+    shell is visited. The integer data of the split and its elimination
+    (`_ShellFrame`) are built once, and each level m = p // g scales them,
+    so a shell point costs one vector step. Output is sorted
+    lexicographically; canonical sign (positive ample-pairing) is
+    automatic, and no class repeats: [x_unit | K] is unimodular, so
+    v = m x_unit + K z is injective, and squares differ.
     """
     bound = bound or EnumerationBound()
     _check_analysis_input(lattice, ample)
@@ -368,7 +427,7 @@ def _ample_wall_witness(
     """A profile-matching class orthogonal to the ample class, if one exists.
 
     The first class in shell order at level m = 0 is returned; reports
-    print it, so the order of `_shell_points` is part of the output.
+    print it, so the order of `_walk` is part of the output.
     """
     return next(_profile_classes(_shell_frame(lattice, t, tuple(ample)), 0), None)
 

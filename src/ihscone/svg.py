@@ -7,7 +7,10 @@ an ellipse, every chamber wall w cuts a chord and meets the plane in one
 point, both exact functions of p = -K^T G K and the triple (pairing(ample, w),
 pairing(u1, w), pairing(u2, w)). These are computed in integers, and each
 drawn number is rounded once, by one integer true division (int / int is
-correctly rounded), before the float steps of the drawing.
+correctly rounded), before the float steps of the drawing. A chart with a
+number beyond the float range, or too small for `_FMT` to tell its pixels
+apart, is a `PreconditionError` that names the range, not a traceback or
+an empty picture.
 """
 from __future__ import annotations
 
@@ -19,11 +22,21 @@ from .lattice import norm, pairing
 from .polyhedra import dot
 
 _FMT = "%.6f"
+_CANVAS = 640  # pixels per side
+_MIN_WIDTH = _CANVAS * 1e-6  # one step of _FMT's last digit per pixel
 
 
 def _f(x: float) -> str:
     s = _FMT % x
     return "0.000000" if s == "-0.000000" else s
+
+
+def _out_of_range(detail: str) -> PreconditionError:
+    return PreconditionError(
+        f"section chart is outside the drawable range ({detail}): every number must be "
+        f"a finite float and the chart at least {_MIN_WIDTH:g} wide, one {_FMT} step "
+        f"per pixel of the {_CANVAS}-pixel canvas"
+    )
 
 
 def _ellipse_geometry(p, q_ample: int):
@@ -94,15 +107,17 @@ def render_section(analysis: ConeAnalysis) -> str:
     qa = norm(lattice, ample)
     frame = _shell_frame(lattice, analysis.type, ample)
     p = frame.p_matrix
-    theta, rx, ry = _ellipse_geometry(p, qa)
-
     # columns[i] = u_i || G u_i, so pairing(u_i, wall) is wall . columns[i][3:]
     lines = [
         (wall, pairing(lattice, ample, wall), *(dot(wall, col[3:]) for col in frame.columns))
         for wall in analysis.chamber_walls
     ]
-    chords = [_wall_chord(p, qa, *line) for line in lines]
-    points = [_ray_point(p, qa, *line) for line in lines]
+    try:
+        theta, rx, ry = _ellipse_geometry(p, qa)
+        chords = [_wall_chord(p, qa, *line) for line in lines]
+        points = [_ray_point(p, qa, *line) for line in lines]
+    except OverflowError:
+        raise _out_of_range("an integer exceeds the float range") from None
 
     r_max = max(rx, ry)
     xs = [-r_max, r_max] + [pt[0] for pt in points]
@@ -110,11 +125,15 @@ def render_section(analysis: ConeAnalysis) -> str:
     pad = 0.15 * max(max(xs) - min(xs), max(ys) - min(ys))
     x0, y0 = min(xs) - pad, min(ys) - pad
     w, h = (max(xs) - min(xs)) + 2 * pad, (max(ys) - min(ys)) + 2 * pad
+    ends = [pt for chord in chords for pt in chord]
+    drawn = [x0, y0, w, h, rx, ry] + [x for pt in ends + points for x in pt]
+    if not (all(map(math.isfinite, drawn)) and max(w, h) >= _MIN_WIDTH):
+        raise _out_of_range(f"width {max(w, h):.3g}")
 
     marker = 0.02 * max(w, h)
     stroke = 0.006 * max(w, h)
     parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="640" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_CANVAS}" height="{_CANVAS}" '
         f'viewBox="{_f(x0)} {_f(y0)} {_f(w)} {_f(h)}">',
         f'<ellipse cx="0.000000" cy="0.000000" rx="{_f(rx)}" ry="{_f(ry)}" '
         f'transform="rotate({_f(math.degrees(theta))})" '

@@ -343,6 +343,23 @@ def test_plot_section_on_ill_conditioned_chart(tmp_path, capsys, doc):
     assert root[0].tag == "{http://www.w3.org/2000/svg}ellipse"
 
 
+@pytest.mark.parametrize("digits,detail", [
+    (400, "an integer exceeds the float range"),
+    (160, "width 2.6e-80"),
+], ids=["overflow", "underflow"])
+def test_plot_section_outside_the_float_range(tmp_path, capsys, digits, detail):
+    # entries of 400 digits have no float; with 160 digits the radii are
+    # about 1.4e-80, which %.6f prints as zeros: exit 3 naming the range,
+    # not a traceback or an empty viewBox
+    big = 2 * 10**digits
+    doc = dict(RANK3_DOC, gram=[[2, 0, 0], [0, -big, 0], [0, 0, -big]])
+    code, out, err = _run(capsys, ["plot-section", "--input", _write(tmp_path, doc)])
+    assert (code, out) == (3, "")
+    error = _error_doc(err)
+    assert error["kind"] == "PreconditionError"
+    assert error["message"].startswith(f"section chart is outside the drawable range ({detail})")
+
+
 # ------------------------------------------------------- exit codes, errors
 
 

@@ -7,14 +7,17 @@ import random
 
 import pytest
 
+from ihscone import engine
 from ihscone.catalog import is_numerically_exceptional, parse_type, profiles
 from ihscone.engine import (
     EnumerationBound,
     _ample_wall_witness,
+    _eliminate,
     _profile_classes,
     _shell_frame,
     _shell_points,
     _surd_sign,
+    _walk,
     analyze,
     classify_rank2,
     enumerate_exceptional,
@@ -34,9 +37,11 @@ from ihscone.weyl import is_chamber_wall
 from tests.helpers import (
     _echelon,
     box_oracle,
+    congruate,
     duality_round_trip,
     fm_is_wall,
     inverse,
+    rand_unimodular,
     rank_is_wall,
     reference_profile_levels,
     reference_rank2_rays,
@@ -45,6 +50,8 @@ from tests.helpers import (
 )
 
 K3 = parse_type("K3")
+TYPES = [K3, parse_type("K3[n]", 2), parse_type("Kum[n]", 2), parse_type("OG6"),
+         parse_type("OG10")]
 K3_RANK3 = Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -2)))
 DENSE = Lattice(((2, 1), (1, -2)))
 AMPLE3 = (1, 0, 0)
@@ -550,6 +557,103 @@ def test_shell_points_edge_cases():
     assert _shell_points([], [], 3, (4, -1), ()) == []
     with pytest.raises(ContractViolationError):
         shell_z_points([[1, 2], [2, 1]], [0, 0], 1)
+
+
+def test_frame_elimination_scales_to_every_level():
+    # the frame eliminates (p, b_unit, c_unit) once; level m with square s
+    # must start from the integers a fresh elimination of
+    # (p, m b_unit, m^2 c_unit - s) gives, and walk to the same images
+    rng = random.Random(1968)
+    squares = sorted({pr.square for t in TYPES for pr in profiles(t)})
+    images = empty = 0
+    for case in range(36):
+        k = case % 6
+        p = _random_positive_definite(rng, k)
+        if case % 4 == 3 and k:
+            p = [list(row) for row in congruate(p, rand_unimodular(rng, k))]
+        b_unit = [rng.randint(-4, 4) for _ in range(k)]
+        # c_unit + b^T p^-1 b, the level-1 shell's squared radius, is kept in
+        # [-1, 1) so that the rank-5 shells of level 8 stay quick to walk
+        inv = inverse(p) if k else []
+        lift = sum(bi * inv[i][j] * bj for i, bi in enumerate(b_unit)
+                   for j, bj in enumerate(b_unit))
+        c_unit = -math.floor(lift) + rng.randint(-1, 0)
+        levels, border_unit, rem_unit = _eliminate(p, b_unit, c_unit)
+        det_p = levels[-1][0] if k else 1
+        assert det_p == det_int(p) if k else rem_unit == c_unit
+        width = rng.randint(1, 4)
+        cols = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(k)]
+        for m in range(9):
+            border = tuple(m * x for x in border_unit)
+            base = tuple(m * rng.randint(-5, 5) for _ in range(width))
+            for s in squares:
+                b, c = [m * x for x in b_unit], m * m * c_unit - s
+                rem = m * m * rem_unit - det_p * s
+                assert _eliminate(p, b, c) == (levels, border, rem)
+                got = _walk(levels, border, rem, base, cols)
+                assert got == _shell_points(p, b, c, base, cols)
+                images += len(got)
+                empty += not got
+    assert images > 5000 and empty > 300
+
+
+def test_frame_rejects_a_kernel_form_that_is_not_positive_definite():
+    # on diag(2, 2) the ample kernel e_1 has p = -2, and on diag(2, -2, 2)
+    # p = diag(2, -2): building the frame, its one elimination, raises
+    for gram, ample in [(((2, 0), (0, 2)), (1, 0)),
+                        (((2, 0, 0), (0, -2, 0), (0, 0, 2)), (1, 0, 0))]:
+        with pytest.raises(ContractViolationError, match="not positive definite"):
+            _shell_frame(Lattice(gram), K3, ample)
+
+
+def test_rank2_matches_box_oracle_at_many_levels():
+    # the arith workload's rank-2 bounds, 80-200, so each shell frame serves
+    # up to 200 pairing levels; in the diagonal basis and a sheared one
+    rng = random.Random(190)
+    classes = 0
+    for _ in range(16):
+        lat = Lattice(((rng.randint(1, 6), 0), (0, -rng.randint(1, 12))))
+        bnd = rng.randint(80, 200)
+        bound = EnumerationBound(max_ample_pairing=bnd)
+        for t in TYPES:
+            got = enumerate_exceptional(lat, t, (1, 0), bound)
+            assert got == box_oracle(lat, t, bnd)
+            moved, vecs = transported(rng, lat, [(1, 0)] + list(got))
+            assert set(enumerate_exceptional(moved, t, vecs[0], bound)) == set(vecs[1:])
+            classes += len(got)
+    assert classes > 80
+
+
+RANK8_SHELL = tuple(tuple((2 if i == 0 else -2) if i == j else 0 for j in range(8))
+                    for i in range(8))
+
+
+@pytest.mark.parametrize("gram,t,bnd", [
+    (((6, 3), (3, -6)), "OG10", 190),
+    (RANK8_SHELL, "K3", 4),
+], ids=["rank2-bound190", "rank8-shell"])
+def test_one_elimination_per_frame(monkeypatch, gram, t, bnd):
+    # every level and square scales the frame's elimination: a pass that
+    # eliminated again per level or square would count one per walk
+    calls = {"_eliminate": 0, "_walk": 0}
+
+    def counted(name):
+        fn = getattr(engine, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(engine, name, counted(name))
+    engine._shell_frame.cache_clear()
+    lat, dtype, ample = Lattice(gram), parse_type(t), (1,) + (0,) * (len(gram) - 1)
+    found = enumerate_exceptional(lat, dtype, ample, EnumerationBound(max_ample_pairing=bnd))
+    assert found and calls["_eliminate"] == 1
+    frame = _shell_frame(lat, dtype, ample)  # the cached frame: no second elimination
+    assert calls["_eliminate"] == 1
+    assert calls["_walk"] == bnd // frame.g * len(frame.div_table) > 1
 
 
 def _reference_cases():
