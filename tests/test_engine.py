@@ -579,8 +579,12 @@ def test_frame_elimination_scales_to_every_level():
                    for j, bj in enumerate(b_unit))
         c_unit = -math.floor(lift) + rng.randint(-1, 0)
         levels, border_unit, rem_unit = _eliminate(p, b_unit, c_unit)
-        det_p = levels[-1][0] if k else 1
-        assert det_p == det_int(p) if k else rem_unit == c_unit
+        if k:
+            det_p = levels[-1][0]
+            assert det_p == det_int(p)
+        else:  # rank 1: nothing to eliminate, and rem is c itself
+            det_p = 1
+            assert (levels, border_unit, rem_unit) == ((), (), c_unit)
         width = rng.randint(1, 4)
         cols = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(k)]
         for m in range(9):
