@@ -33,7 +33,7 @@ from .engine import (
     mds_classify,
 )
 from .errors import BoundExceededError, IHSConeError, InputFormatError, PreconditionError
-from .lattice import Lattice, Vec, discriminant_group, norm, signature
+from .lattice import Lattice, Vec, discriminant_group, norm
 from .pell import (
     INDEX_CAP,
     fundamental_solution,
@@ -275,7 +275,8 @@ def _analysis_json(spec: InputSpec, analysis: ConeAnalysis) -> dict:
     eff = finiteness.eff_rational_polyhedral_up_to_bound
     return {
         **_header(spec, "analyze"),
-        "signature": list(signature(spec.lattice)),
+        # analysis raised SignatureError on any other signature
+        "signature": [1, spec.lattice.rank - 1],
         "disc_group": _disc_json(spec),
         "exceptional_classes": [list(v) for v in analysis.exceptional_found],
         "exceptional_count": len(analysis.exceptional_found),

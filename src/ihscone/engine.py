@@ -18,6 +18,11 @@ each point's class and its Gram image down the recursion, so a point costs
 one vector step and two gcds; the ample-wall witness and the SVG chart
 reuse the frame.
 
+Building the frame also decides the signature: q(a) > 0 for the ample
+class a splits Q^n = Qa + a^perp orthogonally, so the signature is
+(1, n - 1) exactly when every pivot of the frame's elimination is positive
+(`_ShellFrame`); `lattice.signature` runs only on an input that fails.
+
 Chamber walls come from the incidence of one double-description pass over
 the found classes and the ample class. The `analyze` docstring proves those
 walls are already the extremal rays of the pseudo-effective candidate,
@@ -41,20 +46,10 @@ from typing import Optional, Sequence
 
 from .catalog import DeformationType, div_matches, profile_table
 from .errors import (
-    BoundExceededError,
-    ContractViolationError,
-    MixedRationalityError,
-    PreconditionError,
-    SignatureError,
+    BoundExceededError, ContractViolationError, IHSConeError, MixedRationalityError,
+    PreconditionError, SignatureError,
 )
-from .lattice import (
-    Lattice,
-    Vec,
-    gram_vec,
-    norm,
-    signature,
-    smith_normal_form,
-)
+from .lattice import Lattice, Vec, gram_vec, norm, signature, smith_normal_form
 from .pell import INDEX_CAP, is_perfect_square
 from .polyhedra import canonical_ray, dd_generators, dot
 from .weyl import is_chamber_wall
@@ -162,7 +157,8 @@ def _eliminate(p, b, c):
     row_i the p-part of pivot row i (the coefficients of z_{i+1}, ...,
     z_{k-1} in L_i), border[i] the constant term of L_i, and rem = -Q_k,
     the constant left once every z_i is eliminated. A non-positive pivot
-    raises `ContractViolationError`: p is not positive definite.
+    raises `ContractViolationError`: p is not positive definite, which for
+    a shell frame means a wrong signature (`_ShellFrame`).
     """
     k = len(p)
     m = [list(row) + [-bi] for row, bi in zip(p, b)] + [[-bi for bi in b] + [-c]]
@@ -251,14 +247,6 @@ def _walk(levels, border, rem, base, cols) -> list[tuple[int, ...]]:
     return out
 
 
-def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
-    """Images base + sum_i z_i cols[i] of the integer z with z^T p z - 2 b.z = c.
-
-    p is a positive definite integer Gram: `_eliminate`, then `_walk`.
-    """
-    return _walk(*_eliminate(p, b, c), base, cols)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -284,19 +272,6 @@ def _ample_frame(lattice: Lattice, ample: Vec):
     return g, x_unit, kernel
 
 
-def _check_analysis_input(lattice: Lattice, ample: Vec) -> None:
-    sig = signature(lattice)
-    if sig != (1, lattice.rank - 1):
-        raise SignatureError(
-            f"expected signature (1, {lattice.rank - 1}), got {sig}"
-        )
-    lattice.check_vector(ample)
-    if norm(lattice, ample) <= 0:
-        raise PreconditionError(
-            f"ample class must have positive norm, got {norm(lattice, ample)}"
-        )
-
-
 @dataclass(frozen=True)
 class _ShellFrame:
     """Integer data every shell class of one lattice, type and ample class needs.
@@ -313,7 +288,10 @@ class _ShellFrame:
     (p_matrix, b_unit, c_unit) with b_unit = K^T G x_unit and
     c_unit = norm(x_unit); `_profile_classes` scales them to every level
     and square instead of eliminating again. Building the frame is
-    therefore where a p_matrix that is not positive definite raises.
+    therefore where the signature is decided: q(a) > 0 for the ample class
+    a, so Q^n = Qa + a^perp is an orthogonal split and K spans a^perp; the
+    signature is (1, n - 1) exactly when p_matrix is positive definite, i.e.
+    (Sylvester) when every pivot, a leading principal minor, is positive.
     """
 
     g: int
@@ -352,6 +330,26 @@ def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFram
     )
 
 
+def _analysis_frame(lattice: Lattice, t: DeformationType, ample) -> _ShellFrame:
+    """The shell frame of a checked ample class, which decides the signature.
+
+    `lattice.signature` runs only when a step fails, so a wrong signature is
+    reported first, whatever else is wrong; otherwise the step's error stands.
+    """
+    try:
+        ample = lattice.check_vector(ample)
+        q = norm(lattice, ample)
+        if q <= 0:
+            raise PreconditionError(f"ample class must have positive norm, got {q}")
+        return _shell_frame(lattice, t, ample)
+    except IHSConeError:
+        sig = signature(lattice)
+        if sig != (1, lattice.rank - 1):
+            msg = f"expected signature (1, {lattice.rank - 1}), got {sig}"
+            raise SignatureError(msg) from None
+        raise
+
+
 def _profile_classes(frame: _ShellFrame, m: int):
     """Profile-matching primitive classes of pairing level m, in shell order.
 
@@ -373,7 +371,7 @@ def _profile_classes(frame: _ShellFrame, m: int):
 
     where det(p) is the last pivot a_{k-1} (1 when k = 0). A level
     therefore starts from k + 1 integers, and the point order and every
-    integer are those of `_shell_points(p, m b_unit, m^2 c_unit - square, ...)`.
+    integer are those of `_walk` after `_eliminate(p, m b_unit, m^2 c_unit - square)`.
 
     Squares are visited in ascending order. `_walk` carries each point's
     image w = (x_p || G x_p) + sum_i z_i columns[i] down its recursion, so
@@ -413,8 +411,7 @@ def enumerate_exceptional(
     v = m x_unit + K z is injective, and squares differ.
     """
     bound = bound or EnumerationBound()
-    _check_analysis_input(lattice, ample)
-    frame = _shell_frame(lattice, t, tuple(ample))
+    frame = _analysis_frame(lattice, t, ample)
     found: list[Vec] = []
     for p in range(frame.g, bound.max_ample_pairing + 1, frame.g):
         found.extend(_profile_classes(frame, p // frame.g))

@@ -18,6 +18,8 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
+from .errors import PreconditionError
+
 FrVec = tuple[Fraction, ...]
 
 # an affine constraint: coeffs . x + const  (> 0 if strict else >= 0)
@@ -77,7 +79,7 @@ def canonical_ray(v: Sequence[int]) -> tuple[int, ...]:
     """Primitive integer vector on the same ray (direction preserved)."""
     g = gcd(*v)
     if g == 0:
-        raise ValueError("zero vector spans no ray")
+        raise PreconditionError("zero vector spans no ray")
     return tuple(x // g for x in v)
 
 

@@ -19,7 +19,7 @@ from math import gcd, isqrt, lcm
 
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
 from ihscone.catalog import parse_type
-from ihscone.engine import Rank2Report, RayDescriptor, _ample_frame, _shell_points
+from ihscone.engine import Rank2Report, RayDescriptor, _ample_frame, _eliminate, _walk
 from ihscone.errors import MixedRationalityError, PreconditionError
 from ihscone.lattice import det_int, divisibility, gram_vec, is_primitive, pairing
 from ihscone.pell import is_perfect_square
@@ -191,6 +191,14 @@ def box_oracle(lat: Lattice, dtype, bound_b: int) -> tuple[tuple[int, ...], ...]
     for v0 in range(1, bound_b // g0 + 1):
         rec(1, [v0], g0 * v0 * v0 - lo)
     return tuple(sorted(found))
+
+
+def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
+    """Images base + sum_i z_i cols[i] of the integer z with z^T p z - 2 b.z = c.
+
+    p is a positive definite integer Gram: `_eliminate`, then `_walk`.
+    """
+    return _walk(*_eliminate(p, b, c), base, cols)
 
 
 def shell_z_points(p, b, c):
@@ -505,6 +513,59 @@ def rand_diag_gram(rng: random.Random, rank: int, pos_max: int = 4, neg_max: int
     return tuple(
         tuple(row[i] if i == j else 0 for j in range(rank)) for i in range(rank)
     )
+
+
+# blocks of known signature: (gram, signature, a vector of positive norm or None)
+_SIGNATURE_BLOCKS = (
+    (((0, 1), (1, 0)), (1, 1), (1, 1)),
+    (((0, 3), (3, 0)), (1, 1), (1, 1)),
+    (((2, 1), (1, -2)), (1, 1), (1, 0)),
+    (((2, -1), (-1, 2)), (2, 0), (1, 0)),
+    (((-2, 1), (1, -2)), (0, 2), None),
+)
+
+
+def signature_corpus():
+    """(lattice, ample, signature) for seeded nondegenerate Gram matrices of
+    every signature (pos, neg) at rank 1-6, each followed by a sheared copy.
+
+    Each Gram is block diagonal, from 1x1 blocks of either sign and 2x2
+    blocks of known signature, so its signature is known without computing
+    it; a unimodular congruence keeps it (Sylvester's law of inertia). The
+    ample class has positive norm whenever pos > 0, and is any nonzero
+    vector, of negative norm, when the form is negative definite.
+    """
+    rng = random.Random(1852)
+    for n in range(1, 7):
+        for pos in range(n + 1):
+            for _ in range(3):
+                blocks, have = [], [0, 0]
+                while have[0] < pos or have[1] < n - pos:
+                    gram, sig, vec = rng.choice(_SIGNATURE_BLOCKS)
+                    if have[0] + sig[0] > pos or have[1] + sig[1] > n - pos:
+                        sign = 1 if have[0] < pos else -1
+                        gram, sig = ((sign * rng.randint(1, 6),),), (int(sign > 0), int(sign < 0))
+                        vec = (1,) if sign > 0 else None
+                    blocks.append((gram, vec))
+                    have = [have[0] + sig[0], have[1] + sig[1]]
+                rng.shuffle(blocks)
+                rows, positive, at = [], None, 0
+                for gram, vec in blocks:
+                    k = len(gram)
+                    rows += [(0,) * at + row + (0,) * (n - at - k) for row in gram]
+                    if vec is not None and positive is None:
+                        positive = (0,) * at + vec + (0,) * (n - at - k)
+                    at += k
+                base = Lattice(tuple(rows))
+                ample = positive or rand_primitive(rng, n, 2)
+                for _ in range(20):
+                    v = tuple(rng.randint(-2, 2) for _ in range(n))
+                    if any(v) and norm(base, v) > 0:
+                        ample = v
+                        break
+                yield base, ample, (pos, n - pos)
+                lat, (moved,) = transported(rng, base, [ample])
+                yield lat, moved, (pos, n - pos)
 
 
 def rand_case_b_pair(rng: random.Random, rank: int):

@@ -14,8 +14,11 @@ from pathlib import Path
 import pytest
 from jsonschema import Draft7Validator
 
-from ihscone import alphas, cli, engine, pell
-from ihscone.cli import _stringify, main, parse_input, run_pell
+import ihscone
+from ihscone import alphas, cli, engine, lattice, pell
+from ihscone.catalog import parse_type
+from ihscone.cli import InputSpec, _stringify, main, parse_input, run_analyze, run_pell
+from ihscone.engine import EnumerationBound
 from ihscone.errors import (
     BoundExceededError,
     ContractViolationError,
@@ -25,6 +28,7 @@ from ihscone.errors import (
     PreconditionError,
     SignatureError,
 )
+from tests.helpers import signature_corpus
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "report-v1.schema.json"
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
@@ -645,6 +649,69 @@ def test_one_pell_solve_per_document(tmp_path, capsys, monkeypatch):
     code, out, _ = _run(capsys, ["alpha", "--input", _write(tmp_path, doc_in)])
     assert code == 0 and json.loads(out)["certified_effective"] is True
     assert calls == [5]
+
+
+def test_signature_runs_only_on_failing_documents(tmp_path, capsys, monkeypatch):
+    # the frame's elimination decides the signature of a document that
+    # analyzes; lattice.signature runs once, to name the fault, only when
+    # the entry check fails (at the parent: 2, 1, 1, 1 and 1 calls on the
+    # successful documents)
+    calls = []
+    reference = lattice.signature
+
+    def counted(lat):
+        calls.append(lat.rank)
+        return reference(lat)
+
+    for module in (lattice, engine, cli, ihscone):
+        monkeypatch.setattr(module, "signature", counted, raising=False)
+    rank3 = dict(RANK3_DOC, vector=[5, 3, 3])
+    rank2 = dict(DENSE_DOC, vector=[1, 1])
+    subcommands = ("analyze", "enumerate", "reduce", "rank2", "plot-section")
+    for subcommand in subcommands:
+        doc = rank2 if subcommand == "rank2" else rank3
+        code, out, _ = _run(capsys, [subcommand, "--input", _write(tmp_path, doc)])
+        assert code == 0 and out
+        assert calls == [], subcommand
+    failing = [
+        (dict(rank3, gram=[[2, 0, 0], [0, 2, 0], [0, 0, -2]]),
+         "SignatureError", "expected signature (1, 2), got (2, 1)"),
+        (dict(rank3, gram=[[-2, 1, 0], [1, -2, 0], [0, 0, -4]]),
+         "SignatureError", "expected signature (1, 2), got (0, 3)"),
+        (dict(rank3, gram=[[2, 0, 0], [0, 2, 0], [0, 0, -2]], ample=[0, 0, 1]),
+         "SignatureError", "expected signature (1, 2), got (2, 1)"),
+        (dict(rank3, ample=[0, 1, 0]),
+         "PreconditionError", "ample class must have positive norm, got -2"),
+        (dict(rank2, gram=[[2, 1], [1, 2]]),
+         "SignatureError", "expected signature (1, 1), got (2, 0)"),
+        (dict(rank2, ample=[0, 1]),
+         "PreconditionError", "ample class must have positive norm, got -2"),
+    ]
+    for subcommand in subcommands:
+        for doc, kind, message in failing:
+            if subcommand == "rank2" and len(doc["gram"]) != 2:
+                continue  # the rank check comes first
+            calls.clear()
+            code, out, err = _run(capsys, [subcommand, "--input", _write(tmp_path, doc)])
+            assert (code, out) == (3, "")
+            assert _error_doc(err) == {"kind": kind, "message": message}
+            assert len(calls) == 1, (subcommand, doc)
+
+
+def test_analyze_report_signature_is_lagrange_signature():
+    # the writer prints (1, rank - 1) without computing it: analysis
+    # raised SignatureError on any other signature
+    k3, bound = parse_type("K3"), EnumerationBound(max_ample_pairing=2)
+    reports = 0
+    for lat, ample, sig in signature_corpus():
+        spec = InputSpec(lattice=lat, dtype=k3, ample=ample, bound=bound, label=None)
+        if sig != (1, lat.rank - 1):
+            with pytest.raises(SignatureError):
+                run_analyze(spec)
+            continue
+        assert run_analyze(spec)["signature"] == list(lattice.signature(lat))
+        reports += 1
+    assert reports == 36
 
 
 def test_parser_reuse_keeps_no_state(tmp_path, capsys):

@@ -15,7 +15,6 @@ from ihscone.engine import (
     _eliminate,
     _profile_classes,
     _shell_frame,
-    _shell_points,
     _surd_sign,
     _walk,
     analyze,
@@ -27,15 +26,18 @@ from ihscone.engine import (
 from ihscone.errors import (
     BoundExceededError,
     ContractViolationError,
+    DimensionMismatchError,
+    InputFormatError,
     MixedRationalityError,
     PreconditionError,
     SignatureError,
 )
-from ihscone.lattice import Lattice, det_int, gram_vec, norm, pairing
+from ihscone.lattice import Lattice, det_int, gram_vec, norm, pairing, signature
 from ihscone.polyhedra import dd_generators
 from ihscone.weyl import is_chamber_wall
 from tests.helpers import (
     _echelon,
+    _shell_points,
     box_oracle,
     congruate,
     duality_round_trip,
@@ -46,6 +48,7 @@ from tests.helpers import (
     reference_profile_levels,
     reference_rank2_rays,
     shell_z_points,
+    signature_corpus,
     transported,
 )
 
@@ -608,6 +611,72 @@ def test_frame_rejects_a_kernel_form_that_is_not_positive_definite():
                         (((2, 0, 0), (0, -2, 0), (0, 0, 2)), (1, 0, 0))]:
         with pytest.raises(ContractViolationError, match="not positive definite"):
             _shell_frame(Lattice(gram), K3, ample)
+
+
+def test_frame_pivots_decide_the_signature():
+    # with q(ample) > 0, Q^n = Q ample + ample^perp is an orthogonal split,
+    # so the signature is (1, n - 1) exactly when every pivot of the frame's
+    # elimination is positive (Sylvester); otherwise enumeration raises the
+    # SignatureError that lattice.signature names
+    seen = {}
+    for lat, ample, sig in signature_corpus():
+        n = lat.rank
+        assert signature(lat) == sig
+        if sig == (1, n - 1):
+            frame = _shell_frame(lat, K3, ample)
+            assert all(a > 0 for a, _, _ in frame.levels)
+            enumerate_exceptional(lat, K3, ample, B2)
+        else:
+            if norm(lat, ample) > 0:
+                with pytest.raises(ContractViolationError, match="not positive definite"):
+                    _shell_frame(lat, K3, ample)
+            with pytest.raises(SignatureError) as info:
+                enumerate_exceptional(lat, K3, ample, B2)
+            assert str(info.value) == f"expected signature (1, {n - 1}), got {sig}"
+        seen[sig] = seen.get(sig, 0) + 1
+    assert seen == {(p, n - p): 6 for n in range(1, 7) for p in range(n + 1)}
+
+
+# (2, 1), and (0, 3), on which every ample class has negative norm
+PLUS2 = Lattice(((2, 0, 0), (0, 2, 0), (0, 0, -2)))
+NEGDEF = Lattice(((-2, 1, 0), (1, -2, 0), (0, 0, -4)))
+# each ample class with the error it gets on K3_RANK3, signature (1, 2)
+BAD_AMPLES = [
+    ((1, 0), DimensionMismatchError, "vector of length 2 in a rank-3 lattice"),
+    ((1, 0, 0, 0), DimensionMismatchError, "vector of length 4 in a rank-3 lattice"),
+    ((1.5, 0, 0), InputFormatError, "expected integer entries, got (1.5, 0, 0)"),
+    ((1.0, 0, 0), InputFormatError, "expected integer entries, got (1.0, 0, 0)"),
+    ((True, 0, 0), InputFormatError, "expected integer entries, got a boolean in (True, 0, 0)"),
+    ([1, False, 0], InputFormatError, "expected integer entries, got a boolean in [1, False, 0]"),
+    (5, InputFormatError, "expected integer entries, got 5"),
+    ((0, 0, 0), PreconditionError, "ample class must have positive norm, got 0"),
+    ((1, 1, 0), PreconditionError, "ample class must have positive norm, got 0"),
+    ((0, 1, 0), PreconditionError, "ample class must have positive norm, got -2"),
+]
+PRECEDENCE = (
+    [(K3_RANK3, ample, kind, message) for ample, kind, message in BAD_AMPLES]
+    + [(lat, ample, SignatureError, f"expected signature (1, 2), got {sig}")
+       for lat, sig in ((PLUS2, "(2, 1)"), (NEGDEF, "(0, 3)"))
+       for ample, _, _ in BAD_AMPLES + [((1, 0, 0), None, None)]]
+    + [
+        (Lattice(((-6,),)), (1,), SignatureError, "expected signature (1, 0), got (0, 1)"),
+        (Lattice(((-6,),)), (1.5,), SignatureError, "expected signature (1, 0), got (0, 1)"),
+        (Lattice(((6,),)), (0,), PreconditionError, "ample class must have positive norm, got 0"),
+        (Lattice(((6,),)), (True,), InputFormatError,
+         "expected integer entries, got a boolean in (True,)"),
+    ]
+)
+
+
+@pytest.mark.parametrize("lat,ample,kind,message", PRECEDENCE)
+def test_entry_check_precedence(lat, ample, kind, message):
+    # a wrong signature is named whatever else is wrong with the input;
+    # on a lattice of signature (1, n - 1) the ample class's own fault
+    # stands, with the checks in the order length/integers, then norm
+    for call in (enumerate_exceptional, analyze):
+        with pytest.raises(kind) as info:
+            call(lat, K3, ample)
+        assert type(info.value) is kind and str(info.value) == message
 
 
 def test_rank2_matches_box_oracle_at_many_levels():

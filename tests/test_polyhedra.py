@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from tests.helpers import _echelon, brute_force_extreme_rays, same_ray_set
+from ihscone.errors import IHSConeError
 from ihscone.polyhedra import canonical_ray, dd_generators, fm_satisfiable
 
 F = Fraction
@@ -16,8 +17,9 @@ def test_canonical_ray():
     assert canonical_ray((2, 4)) == (1, 2)
     assert canonical_ray((-2, -4)) == (-1, -2)  # direction preserved
     assert canonical_ray((0, 5, 0)) == (0, 1, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         canonical_ray((0, 0))
+    assert isinstance(info.value, IHSConeError)
 
 
 def test_same_ray_set():
