@@ -4,9 +4,11 @@ Everything here is deliberately written from scratch against the
 definitions, not by calling back into the code under test, so the test
 suite has a second opinion on the hard parts (Pell solving, bounded
 class enumeration, chamber walls, rank-2 boundary rays, section geometry
-in `Fraction`s). The Eff/Mov duality round trip is the exception: it runs
-the library's double description twice, as an oracle for the duality that
-`engine.analyze` proves.
+in `Fraction`s). Two exceptions call the library: the Eff/Mov duality
+round trip runs its double description twice, as an oracle for the duality
+that `engine.analyze` proves, and `_shell_points` is the engine's
+elimination followed by its walk, the unscaled lister the frame tests
+compare against.
 """
 from __future__ import annotations
 
