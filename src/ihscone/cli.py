@@ -10,7 +10,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Optional
 
 from .alphas import (
@@ -211,6 +211,11 @@ def parse_input(text: str) -> InputSpec:
     )
 
 
+def _field_dict(obj: Any) -> dict:
+    """The fields of a flat dataclass by name: `asdict` without its deep copy."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
+
+
 def _echo(spec: InputSpec) -> dict:
     doc: dict[str, Any] = {
         "gram": [list(r) for r in spec.lattice.gram],
@@ -218,7 +223,7 @@ def _echo(spec: InputSpec) -> dict:
         "n": spec.dtype.n,
         "ample": list(spec.ample) if spec.ample is not None else None,
         "label": spec.label,
-        "bound": asdict(spec.bound),
+        "bound": _field_dict(spec.bound),
     }
     for key, vec in (("vector", spec.vector), ("D", spec.d_class), ("E", spec.e_class)):
         if vec is not None:
@@ -242,7 +247,7 @@ def _require_ample(spec: InputSpec) -> Vec:
 
 
 def _ray_json(desc: RayDescriptor) -> dict:
-    doc = {k: v for k, v in asdict(desc).items() if v is not None}
+    doc = {k: v for k, v in _field_dict(desc).items() if v is not None}
     return {**doc, "display": desc.display()}
 
 
@@ -292,12 +297,12 @@ def _analysis_json(spec: InputSpec, analysis: ConeAnalysis) -> dict:
         "duality_checked": True,
         "rank2": _rank2_json(analysis.rank2),
         "finiteness": {
-            **asdict(finiteness),
+            **_field_dict(finiteness),
             "bir_finite": eff,
             "quotient_finite": eff,
             "finitely_many_exceptional_up_to_bound": True,
         },
-        "mds": asdict(mds_classify(analysis)),
+        "mds": _field_dict(mds_classify(analysis)),
         "notes": list(analysis.notes),
     }
 

@@ -13,10 +13,12 @@ the first class it meets. The integer data a shell point needs to become a
 class (each kernel vector with its Gram image, the pairing-g translate, the
 profile table) and the elimination itself are built once per analysis in a
 `_ShellFrame`: every pairing level and profile square scales the frame's
-elimination (k + 1 integers) instead of eliminating again. The walk carries
-each point's class and its Gram image down the recursion, so a point costs
-one vector step and two gcds; the ample-wall witness and the SVG chart
-reuse the frame.
+elimination (k + 1 integers) instead of eliminating again, and one walk
+per profile square covers every level, so a level without a point costs
+a comparison or, at rank 2, one isqrt. The walk carries each point's
+class and its Gram image down the recursion, so a point costs one vector
+step and two gcds; the ample-wall witness and the SVG chart reuse the
+frame.
 
 Building the frame also decides the signature: q(a) > 0 for the ample
 class a splits Q^n = Qa + a^perp orthogonally, so the signature is
@@ -179,33 +181,35 @@ def _eliminate(p, b, c):
     return tuple(levels), tuple(border), -m[0][0]
 
 
-def _walk(levels, border, rem, base, cols) -> list[tuple[int, ...]]:
-    """Images base + sum_i z_i cols[i] of the shell points of an elimination.
+def _walk(levels, border_unit, rem_unit, shift, unit, cols, ms) -> list[tuple[int, ...]]:
+    """Images of one square's shell points at every pairing level in ms: one walk.
 
-    (levels, border, rem) is what `_eliminate` returns, or a frame's
-    elimination scaled to one level and square (`_profile_classes`). On
-    the shell Q_0 = 0 each rem_i = -Q_i is a nonnegative integer, so once
+    (levels, border_unit, rem_unit) is `_eliminate(p, b_unit, c_unit)` and
+    shift = det(p) * square. Level m is that elimination scaled
+    (`_profile_classes`): (levels, m border_unit, m^2 rem_unit - shift),
+    with images m unit + sum_i z_i cols[i]. The closures are built once and
+    the levels are walked in the order of ms. A level whose rem is negative
+    has no points and costs one comparison; at k = 1 a level costs one
+    isqrt unless it has a root, so only a level with points scales its
+    border and base. With ms = (1,) and shift = 0 this is the walk of
+    `_eliminate`'s output itself.
+
+    On the shell Q_0 = 0 each rem_i = -Q_i is a nonnegative integer, so once
     z_{i+1}, ..., z_{k-1} are fixed, (a_i z_i + L_i)^2 <= prev_i rem_{i+1}
     gives z_i an exact integer interval, and at the last level the equality
     (a_0 z_0 + L_0)^2 = rem_1 leaves at most two roots (Fincke & Pohst's
-    recursion restricted to the boundary). Points come out in ascending
-    (z_{k-1}, ..., z_0) order.
+    recursion restricted to the boundary). Within a level, points come out
+    in ascending (z_{k-1}, ..., z_0) order.
 
     Setting z_i at level i adds z_i cols[i] to the partial image the next
     level receives, so a point costs one vector step, not one dot product
     per coordinate. Level 0 is solved inside the level-1 loop: a level-1
     child whose rem_1 is not a square costs one isqrt and no vector step.
-    With base = 0 and cols the identity the images are the points z.
+    With unit = 0 and cols the identity the images are the points z.
     """
     k = len(levels)
-    if rem < 0:
-        return []
     if k == 0:
-        return [tuple(base)] if rem == 0 else []
-    if k == 1:
-        r = math.isqrt(rem)
-        if r * r != rem:
-            return []
+        return [tuple([m * x for x in unit]) for m in ms if m * m * rem_unit == shift]
     out: list[tuple[int, ...]] = []
     z = [0] * k
     a0, row0, _ = levels[0]
@@ -240,10 +244,17 @@ def _walk(levels, border, rem, base, cols) -> list[tuple[int, ...]]:
             if r * r == rem0:
                 leaf(r, lin0 + row0[0] * zi, [x + zi * y for x, y in zip(w, col)])
 
-    if k == 1:
-        leaf(r, border[0], base)
-    else:
-        rec(k - 1, rem, base)
+    for m in ms:
+        rem = m * m * rem_unit - shift
+        if rem < 0:
+            continue
+        if k == 1:
+            r = math.isqrt(rem)
+            if r * r == rem:
+                leaf(r, m * border_unit[0], [m * x for x in unit])
+        else:
+            border = [m * x for x in border_unit]
+            rec(k - 1, rem, [m * x for x in unit])
     return out
 
 
@@ -350,14 +361,14 @@ def _analysis_frame(lattice: Lattice, t: DeformationType, ample) -> _ShellFrame:
         raise
 
 
-def _profile_classes(frame: _ShellFrame, m: int):
-    """Profile-matching primitive classes of pairing level m, in shell order.
+def _profile_classes(frame: _ShellFrame, ms):
+    """Profile-matching primitive classes of the pairing levels ms: one walk per square.
 
-    The classes are v = m x_unit + K z. By bilinearity the level-m translate
-    x_p = m x_unit has G x_p = m G x_unit, b = K^T G x_p = m b_unit and
-    norm(x_p) = m^2 c_unit exactly, and norm(v) = norm(x_p) + 2 b.z - z^T p z,
-    so norm = square is the shell equation z^T p z - 2 b.z = c with
-    c = m^2 c_unit - square.
+    The classes of level m are v = m x_unit + K z. By bilinearity the
+    level-m translate x_p = m x_unit has G x_p = m G x_unit,
+    b = K^T G x_p = m b_unit and norm(x_p) = m^2 c_unit exactly, and
+    norm(v) = norm(x_p) + 2 b.z - z^T p z, so norm = square is the shell
+    equation z^T p z - 2 b.z = c with c = m^2 c_unit - square.
 
     Its elimination is the frame's, scaled. By Sylvester's identity each
     entry of a pivot row is a minor of the bordered matrix
@@ -371,20 +382,20 @@ def _profile_classes(frame: _ShellFrame, m: int):
 
     where det(p) is the last pivot a_{k-1} (1 when k = 0). A level
     therefore starts from k + 1 integers, and the point order and every
-    integer are those of `_walk` after `_eliminate(p, m b_unit, m^2 c_unit - square)`.
+    integer are those of a walk after `_eliminate(p, m b_unit, m^2 c_unit - square)`;
+    so one `_walk` per square covers every level, in the order of ms.
 
-    Squares are visited in ascending order. `_walk` carries each point's
-    image w = (x_p || G x_p) + sum_i z_i columns[i] down its recursion, so
-    w is v followed by G v. gcd(v) is tested first: a non-primitive v is
-    dropped whatever its divisibility, which is gcd(G v).
+    Squares are visited in ascending order, each over every level. `_walk`
+    carries each point's image w = (x_p || G x_p) + sum_i z_i columns[i]
+    down its recursion, so w is v followed by G v. gcd(v) is tested first:
+    a non-primitive v is dropped whatever its divisibility, which is gcd(G v).
     """
     n = len(frame.x_unit)
-    base = [m * x for x in frame.x_unit + frame.gram_x_unit]
-    border = [m * x for x in frame.border_unit]
-    rem0 = m * m * frame.rem_unit
+    unit = frame.x_unit + frame.gram_x_unit
     det_p = frame.levels[-1][0] if frame.levels else 1
     for square, allowed in frame.div_table:
-        for w in _walk(frame.levels, border, rem0 - det_p * square, base, frame.columns):
+        for w in _walk(frame.levels, frame.border_unit, frame.rem_unit, det_p * square,
+                       unit, frame.columns, ms):
             v = w[:n]
             if math.gcd(*v) == 1 and div_matches(math.gcd(*w[n:]), allowed):
                 yield v
@@ -404,18 +415,17 @@ def enumerate_exceptional(
     out the shell of an ellipsoid. `_walk` lists exactly its integer
     points from a fraction-free integer elimination; no point inside the
     shell is visited. The integer data of the split and its elimination
-    (`_ShellFrame`) are built once, and each level m = p // g scales them,
-    so a shell point costs one vector step. Output is sorted
-    lexicographically; canonical sign (positive ample-pairing) is
-    automatic, and no class repeats: [x_unit | K] is unimodular, so
-    v = m x_unit + K z is injective, and squares differ.
+    (`_ShellFrame`) are built once, each level m = p // g scales them, and
+    one walk per profile square covers every level, so a shell point costs
+    one vector step and a level without one costs a comparison or an
+    isqrt. Output is sorted lexicographically; canonical sign (positive
+    ample-pairing) is automatic, and no class repeats: [x_unit | K] is
+    unimodular, so v = m x_unit + K z is injective, and squares differ.
     """
     bound = bound or EnumerationBound()
     frame = _analysis_frame(lattice, t, ample)
-    found: list[Vec] = []
-    for p in range(frame.g, bound.max_ample_pairing + 1, frame.g):
-        found.extend(_profile_classes(frame, p // frame.g))
-    return tuple(sorted(found))
+    ms = range(1, bound.max_ample_pairing // frame.g + 1)
+    return tuple(sorted(_profile_classes(frame, ms)))
 
 
 def _ample_wall_witness(
@@ -426,7 +436,7 @@ def _ample_wall_witness(
     The first class in shell order at level m = 0 is returned; reports
     print it, so the order of `_walk` is part of the output.
     """
-    return next(_profile_classes(_shell_frame(lattice, t, tuple(ample)), 0), None)
+    return next(_profile_classes(_shell_frame(lattice, t, tuple(ample)), (0,)), None)
 
 
 # ---------------------------------------------------------------------------

@@ -198,9 +198,10 @@ def box_oracle(lat: Lattice, dtype, bound_b: int) -> tuple[tuple[int, ...], ...]
 def _shell_points(p, b, c, base, cols) -> list[tuple[int, ...]]:
     """Images base + sum_i z_i cols[i] of the integer z with z^T p z - 2 b.z = c.
 
-    p is a positive definite integer Gram: `_eliminate`, then `_walk`.
+    p is a positive definite integer Gram: `_eliminate`, then `_walk` at the
+    one level m = 1 with shift 0, whose image of z = 0 is base.
     """
-    return _walk(*_eliminate(p, b, c), base, cols)
+    return _walk(*_eliminate(p, b, c), 0, base, cols, (1,))
 
 
 def shell_z_points(p, b, c):

@@ -562,13 +562,12 @@ def test_shell_points_edge_cases():
         shell_z_points([[1, 2], [2, 1]], [0, 0], 1)
 
 
-def test_frame_elimination_scales_to_every_level():
-    # the frame eliminates (p, b_unit, c_unit) once; level m with square s
-    # must start from the integers a fresh elimination of
-    # (p, m b_unit, m^2 c_unit - s) gives, and walk to the same images
+def _unit_systems():
+    """36 seeded level-1 shells (p, b_unit, c_unit) of rank k = 0-5, every
+    fourth with k > 0 in a sheared basis, each with the elimination a frame
+    keeps and det(p); the seeded rng comes along so that a caller draws its
+    images from the same stream."""
     rng = random.Random(1968)
-    squares = sorted({pr.square for t in TYPES for pr in profiles(t)})
-    images = empty = 0
     for case in range(36):
         k = case % 6
         p = _random_positive_definite(rng, k)
@@ -581,27 +580,72 @@ def test_frame_elimination_scales_to_every_level():
         lift = sum(bi * inv[i][j] * bj for i, bi in enumerate(b_unit)
                    for j, bj in enumerate(b_unit))
         c_unit = -math.floor(lift) + rng.randint(-1, 0)
-        levels, border_unit, rem_unit = _eliminate(p, b_unit, c_unit)
+        unit_elimination = _eliminate(p, b_unit, c_unit)
+        levels = unit_elimination[0]
         if k:
             det_p = levels[-1][0]
             assert det_p == det_int(p)
         else:  # rank 1: nothing to eliminate, and rem is c itself
             det_p = 1
-            assert (levels, border_unit, rem_unit) == ((), (), c_unit)
+            assert unit_elimination == ((), (), c_unit)
+        yield rng, p, b_unit, c_unit, unit_elimination, det_p
+
+
+SQUARES = sorted({pr.square for t in TYPES for pr in profiles(t)})
+
+
+def test_frame_elimination_scales_to_every_level():
+    # the frame eliminates (p, b_unit, c_unit) once; level m with square s
+    # must start from the integers a fresh elimination of
+    # (p, m b_unit, m^2 c_unit - s) gives, and walk to the same images
+    images = empty = 0
+    for rng, p, b_unit, c_unit, unit_elimination, det_p in _unit_systems():
+        k = len(p)
+        levels, border_unit, rem_unit = unit_elimination
         width = rng.randint(1, 4)
         cols = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(k)]
         for m in range(9):
             border = tuple(m * x for x in border_unit)
-            base = tuple(m * rng.randint(-5, 5) for _ in range(width))
-            for s in squares:
+            unit = tuple(rng.randint(-5, 5) for _ in range(width))
+            base = tuple(m * x for x in unit)
+            for s in SQUARES:
                 b, c = [m * x for x in b_unit], m * m * c_unit - s
                 rem = m * m * rem_unit - det_p * s
                 assert _eliminate(p, b, c) == (levels, border, rem)
-                got = _walk(levels, border, rem, base, cols)
+                got = _walk(*unit_elimination, det_p * s, unit, cols, (m,))
                 assert got == _shell_points(p, b, c, base, cols)
                 images += len(got)
                 empty += not got
     assert images > 5000 and empty > 300
+
+
+def test_one_walk_covers_every_level():
+    # one walk of a square over the levels 0-8 lists, level by level, the
+    # images of fresh per-level eliminations and walks; levels whose rem is
+    # negative are among them
+    images = negative = 0
+    for rng, p, b_unit, c_unit, unit_elimination, det_p in _unit_systems():
+        k = len(p)
+        rem_unit = unit_elimination[2]
+        width = rng.randint(1, 4)
+        cols = [tuple(rng.randint(-9, 9) for _ in range(width)) for _ in range(k)]
+        unit = tuple(rng.randint(-5, 5) for _ in range(width))
+        for s in SQUARES:
+            expected = []
+            for m in range(9):
+                base = tuple(m * x for x in unit)
+                expected += _shell_points(p, [m * x for x in b_unit], m * m * c_unit - s,
+                                          base, cols)
+                negative += m * m * rem_unit - det_p * s < 0
+            assert _walk(*unit_elimination, det_p * s, unit, cols, range(9)) == expected
+            images += len(expected)
+    assert images > 5000 and negative > 100
+    # rank 2: the level-0 walk alone gives the witness, and a bound below
+    # g leaves no level to walk
+    lat = Lattice(((2, 0), (0, -2)))
+    assert _ample_wall_witness(lat, K3, (1, 0)) == (0, -1)
+    assert _shell_frame(lat, K3, (2, 0)).g == 4
+    assert enumerate_exceptional(lat, K3, (2, 0), EnumerationBound(max_ample_pairing=3)) == ()
 
 
 def test_frame_rejects_a_kernel_form_that_is_not_positive_definite():
@@ -701,13 +745,15 @@ RANK8_SHELL = tuple(tuple((2 if i == 0 else -2) if i == j else 0 for j in range(
                     for i in range(8))
 
 
-@pytest.mark.parametrize("gram,t,bnd", [
-    (((6, 3), (3, -6)), "OG10", 190),
-    (RANK8_SHELL, "K3", 4),
-], ids=["rank2-bound190", "rank8-shell"])
-def test_one_elimination_per_frame(monkeypatch, gram, t, bnd):
-    # every level and square scales the frame's elimination: a pass that
-    # eliminated again per level or square would count one per walk
+@pytest.mark.parametrize("gram,dtype,bnd", [
+    (((6, 3), (3, -6)), parse_type("OG10"), 190),
+    (RANK8_SHELL, K3, 4),
+    (K3_RANK3.gram, parse_type("K3[n]", 3), 16),
+], ids=["rank2-bound190", "rank8-shell", "rank3-k3n3-bound16"])
+def test_one_elimination_per_frame(monkeypatch, gram, dtype, bnd):
+    # every level and square scales the frame's elimination, and one walk
+    # per square covers every level: a pass that eliminated again per level
+    # or square, or walked each level on its own, would count more
     calls = {"_eliminate": 0, "_walk": 0}
 
     def counted(name):
@@ -721,12 +767,12 @@ def test_one_elimination_per_frame(monkeypatch, gram, t, bnd):
     for name in calls:
         monkeypatch.setattr(engine, name, counted(name))
     engine._shell_frame.cache_clear()
-    lat, dtype, ample = Lattice(gram), parse_type(t), (1,) + (0,) * (len(gram) - 1)
+    lat, ample = Lattice(gram), (1,) + (0,) * (len(gram) - 1)
     found = enumerate_exceptional(lat, dtype, ample, EnumerationBound(max_ample_pairing=bnd))
     assert found and calls["_eliminate"] == 1
     frame = _shell_frame(lat, dtype, ample)  # the cached frame: no second elimination
     assert calls["_eliminate"] == 1
-    assert calls["_walk"] == bnd // frame.g * len(frame.div_table) > 1
+    assert calls["_walk"] == len(frame.div_table) < bnd // frame.g
 
 
 def _reference_cases():
@@ -773,7 +819,7 @@ def test_enumerate_matches_per_class_reference():
         expected = reference_profile_levels(lat, t, ample, bnd)
         assert sorted(expected) == list(range(bnd // frame.g + 1))
         for m, found in expected.items():
-            assert list(_profile_classes(frame, m)) == found
+            assert list(_profile_classes(frame, (m,))) == found
         witness = _ample_wall_witness(lat, t, ample)
         assert witness == next(iter(expected[0]), None)
         witnesses += witness is not None
