@@ -17,8 +17,11 @@ elimination (k + 1 integers) instead of eliminating again, and one walk
 per profile square covers every level, so a level without a point costs
 a comparison or, at rank 2, one isqrt. The walk carries each point's
 class and its Gram image down the recursion, so a point costs one vector
-step and two gcds; the ample-wall witness and the SVG chart reuse the
-frame.
+step and at most two gcds; the ample-wall witness and the SVG chart reuse
+the frame. Where the form splits into orthogonal blocks, as on a diagonal
+Picard lattice, the walk lists the points of each lower block once per
+remaining radius and level and reuses them for every prefix above it
+(`_walk`), in the same order.
 
 Building the frame also decides the signature: q(a) > 0 for the ample
 class a splits Q^n = Qa + a^perp orthogonally, so the signature is
@@ -43,7 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .catalog import DeformationType, div_matches, profile_table
@@ -206,6 +209,22 @@ def _walk(levels, border_unit, rem_unit, shift, unit, cols, ms) -> list[tuple[in
     per coordinate. Level 0 is solved inside the level-1 loop: a level-1
     child whose rem_1 is not a square costs one isqrt and no vector step.
     With unit = 0 and cols the identity the images are the points z.
+
+    Level i is a split level when no pivot row at or below it involves a
+    coordinate above it: row_j[i - j:], the coefficients of z_{i+1}, ...,
+    z_{k-1} in L_j, is zero for every j <= i. This is the case at the end of
+    each orthogonal block of p, as on a diagonal form. The points of levels
+    i, ..., 0 then depend only on the rem entering level i and on the
+    level's border, so a child at a split level i >= 1 (level 0 is solved
+    inline) looks up (i, rem) in a memo kept for one pairing level m (the
+    border scales with m). On a miss it walks its subtree once, from the
+    zero image, into a list of partial images sum_{j <= i} z_j cols[j];
+    the parent appends its own partial image plus each of them. The
+    subtree's list is in ascending (z_i, ..., z_0) order and the parent's
+    prefix is fixed, so every point and every integer comes out as an
+    unmemoized walk gives them. A basis with no split level below the top
+    walks without the memo. The split levels are found in one pass over
+    the pivot rows, each read from its last entry down to its last nonzero.
     """
     k = len(levels)
     if k == 0:
@@ -214,26 +233,50 @@ def _walk(levels, border_unit, rem_unit, shift, unit, cols, ms) -> list[tuple[in
     z = [0] * k
     a0, row0, _ = levels[0]
     col0 = cols[0]
+    # reach: the highest coordinate that a pivot row at or below level j involves
+    split, reach = [], 0
+    for j, (_, row, _) in enumerate(levels):
+        for t in range(len(row), 0, -1):
+            if row[t - 1]:
+                reach = max(reach, j + t)
+                break
+        split.append(reach <= j)
+    zero = [0] * len(unit)
+    memo: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    def leaf(r: int, lin0: int, w) -> None:
+    def leaf(r: int, lin0: int, w, acc) -> None:
         # the roots z_0 of (a_0 z_0 + L_0)^2 = r^2
         for t in ((-r, r) if r else (0,)):
             z0, off = divmod(t - lin0, a0)
             if off == 0:
-                out.append(tuple([x + z0 * y for x, y in zip(w, col0)]))
+                acc.append(tuple([x + z0 * y for x, y in zip(w, col0)]))
 
-    def rec(i: int, rem: int, w) -> None:
+    def rec(i: int, rem: int, w, acc) -> None:
         a, row, prev = levels[i]
         lin = sum(map(mul, row, z[i + 1:])) + border[i]
         top = prev * rem
         s = math.isqrt(top)
         col = cols[i]
         zs = range(-((lin + s) // a), (s - lin) // a + 1)
+        if i > 1 and split[i - 1]:
+            # the subtree below depends on z_i only through its rem
+            for zi in zs:
+                t = a * zi + lin
+                rem_c = (top - t * t) // a
+                part = memo.get((i - 1, rem_c))
+                if part is None:
+                    part = memo[i - 1, rem_c] = []
+                    rec(i - 1, rem_c, zero, part)
+                if not part:
+                    continue
+                wi = [x + zi * y for x, y in zip(w, col)]
+                acc += [tuple(map(add, wi, q)) for q in part] if any(wi) else part
+            return
         if i > 1:
             for zi in zs:
                 z[i] = zi
                 t = a * zi + lin
-                rec(i - 1, (top - t * t) // a, [x + zi * y for x, y in zip(w, col)])
+                rec(i - 1, (top - t * t) // a, [x + zi * y for x, y in zip(w, col)], acc)
             return
         # L_0 = row0[0] z_1 + (the part fixed above level 1)
         lin0 = sum(map(mul, row0[1:], z[2:])) + border[0]
@@ -242,7 +285,7 @@ def _walk(levels, border_unit, rem_unit, shift, unit, cols, ms) -> list[tuple[in
             rem0 = (top - t * t) // a
             r = math.isqrt(rem0)
             if r * r == rem0:
-                leaf(r, lin0 + row0[0] * zi, [x + zi * y for x, y in zip(w, col)])
+                leaf(r, lin0 + row0[0] * zi, [x + zi * y for x, y in zip(w, col)], acc)
 
     for m in ms:
         rem = m * m * rem_unit - shift
@@ -251,10 +294,11 @@ def _walk(levels, border_unit, rem_unit, shift, unit, cols, ms) -> list[tuple[in
         if k == 1:
             r = math.isqrt(rem)
             if r * r == rem:
-                leaf(r, m * border_unit[0], [m * x for x in unit])
+                leaf(r, m * border_unit[0], [m * x for x in unit], out)
         else:
             border = [m * x for x in border_unit]
-            rec(k - 1, rem, [m * x for x in unit])
+            memo.clear()
+            rec(k - 1, rem, [m * x for x in unit], out)
     return out
 
 
@@ -389,12 +433,23 @@ def _profile_classes(frame: _ShellFrame, ms):
     carries each point's image w = (x_p || G x_p) + sum_i z_i columns[i]
     down its recursion, so w is v followed by G v. gcd(v) is tested first:
     a non-primitive v is dropped whatever its divisibility, which is gcd(G v).
+    A square whose allowed divisibilities include 1 accepts every
+    divisibility (`div_matches`), so its walk carries v alone, x_p plus
+    the kernel halves of the columns, and only gcd(v) is tested.
     """
     n = len(frame.x_unit)
     unit = frame.x_unit + frame.gram_x_unit
+    kernel = [col[:n] for col in frame.columns]
     det_p = frame.levels[-1][0] if frame.levels else 1
     for square, allowed in frame.div_table:
-        for w in _walk(frame.levels, frame.border_unit, frame.rem_unit, det_p * square,
+        shift = det_p * square
+        if 1 in allowed:
+            for v in _walk(frame.levels, frame.border_unit, frame.rem_unit, shift,
+                           frame.x_unit, kernel, ms):
+                if math.gcd(*v) == 1:
+                    yield v
+            continue
+        for w in _walk(frame.levels, frame.border_unit, frame.rem_unit, shift,
                        unit, frame.columns, ms):
             v = w[:n]
             if math.gcd(*v) == 1 and div_matches(math.gcd(*w[n:]), allowed):

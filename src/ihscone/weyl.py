@@ -10,6 +10,7 @@ incidence, which root hyperplanes actually support facets of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -18,7 +19,7 @@ from .errors import (
     NonIntegralReflectionError,
     PreconditionError,
 )
-from .lattice import Lattice, Vec, gram_vec, norm, pairing
+from .lattice import Lattice, Vec, gram_vec, mat_vec, norm, pairing
 
 
 @dataclass(frozen=True)
@@ -85,19 +86,22 @@ def weyl_reduce(
     index.  The recorded word, applied right-to-left to the
     representative, reconstructs the input.
 
-    gram_vec(r) and norm(r) are computed once per root: they decide the
-    integrality precondition (norm(r) divides every entry of 2 gram_vec(r),
-    the test of `reflection_is_integral`), every step's pairings are dot
-    products of gram_vec(r) with the current vector, and the reflection
-    reuses the pivot's pairing and norm, as `reflect` would compute them.
+    Each root is checked once, and its Gram image and norm(r) are computed
+    once: they decide the integrality precondition (norm(r) divides every
+    entry of 2 G r, i.e. 2 gcd(G r), the test of `reflection_is_integral`),
+    every step's pairings are dot products of G r with the current vector,
+    and the reflection reuses the pivot's pairing and norm, as `reflect`
+    would compute them.  max_steps must be a nonnegative integer.
     """
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
+        raise PreconditionError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     rs = [L.check_vector(r) for r in roots]
     gram_rs: list[Vec] = []
     norms: list[int] = []
     for i, r in enumerate(rs):
-        gr = gram_vec(L, r)
+        gr = mat_vec(L.gram, r)
         q = _checked_root_norm(sum(map(mul, r, gr)))
-        if any(2 * x % q for x in gr):
+        if 2 * gcd(*gr) % q:
             raise PreconditionError("root %d does not define an integral reflection" % i)
         gram_rs.append(gr)
         norms.append(q)
@@ -110,18 +114,16 @@ def weyl_reduce(
     word: list[Vec] = []
     steps = 0
     while True:
-        worst = None
-        worst_val = 0
-        for i, gr in enumerate(gram_rs):
-            p = sum(map(mul, gr, cur))
-            if p < worst_val:
-                worst, worst_val = i, p
-        if worst is None:
+        pairings = [sum(map(mul, gr, cur)) for gr in gram_rs]
+        worst_val = min(pairings, default=0)
+        if worst_val >= 0:
             return ChamberReduction(cur, tuple(word), steps)
         if steps >= max_steps:
             raise BoundExceededError(
                 "chamber reduction did not terminate within %d steps" % max_steps
             )
+        # list.index takes the lowest index among ties
+        worst = pairings.index(worst_val)
         r = rs[worst]
         c = _reflection_coefficient(2 * worst_val, norms[worst])
         cur = tuple(x - c * y for x, y in zip(cur, r))

@@ -3,7 +3,9 @@ dichotomy verdict, rank-2 boundary rays, finiteness and MDS reports."""
 import dataclasses
 import hashlib
 import math
+import operator
 import random
+import types
 
 import pytest
 
@@ -505,30 +507,111 @@ def _shell_systems():
         yield p, b, c
 
 
+def _shell_box(p, b, c) -> list[range]:
+    """Coordinate ranges of a box that holds every integer z with
+    z^T p z - 2 b.z = c."""
+    # the shell is the ellipsoid (z - m)^T p (z - m) = R with m = p^-1 b
+    # and R = c + b.m, whose bounding box is |z_i - m_i| <= sqrt(R (p^-1)_ii)
+    k = len(p)
+    inv = inverse(p)
+    m = [sum(inv[i][j] * b[j] for j in range(k)) for i in range(k)]
+    radius = c + sum(bi * mi for bi, mi in zip(b, m))
+    spans = []
+    for i in range(k):
+        t = math.isqrt(math.ceil(max(radius, 0) * inv[i][i])) + 1
+        spans.append(range(math.floor(m[i]) - t, math.ceil(m[i]) + t + 1))
+    return spans
+
+
+def _brute_shell(p, b, c):
+    """The integer z with z^T p z - 2 b.z = c, by a scan of `_shell_box` in
+    ascending (z_{k-1}, ..., z_0) order, which adds the terms of z_i to
+    the form's value once z_{i+1}, ..., z_{k-1} are fixed."""
+    k = len(p)
+    spans = _shell_box(p, b, c)
+    z = [0] * k
+    found = []
+
+    def scan(i, value):
+        cross = 2 * sum(p[i][j] * z[j] for j in range(i + 1, k)) - 2 * b[i]
+        for x in spans[i]:
+            z[i] = x
+            here = value + x * (p[i][i] * x + cross)
+            if i:
+                scan(i - 1, here)
+            elif here == c:
+                found.append(tuple(z))
+
+    scan(k - 1, 0)
+    return found
+
+
 def test_shell_points_matches_brute_force():
-    # z^T p z - 2 b.z = c is the ellipsoid (z - m)^T p (z - m) = R with
-    # m = p^-1 b and R = c + b.m, whose bounding box is
-    # |z_i - m_i| <= sqrt(R (p^-1)_ii); the scan covers that box.
     seen = 0
     for p, b, c in _shell_systems():
-        k = len(p)
-        inv = inverse(p)
-        m = [sum(inv[i][j] * b[j] for j in range(k)) for i in range(k)]
-        radius = c + sum(bi * mi for bi, mi in zip(b, m))
-        box = [()]
-        for i in range(k):
-            t = math.isqrt(math.ceil(max(radius, 0) * inv[i][i])) + 1
-            box = [z + (x,) for x in range(math.floor(m[i]) - t, math.ceil(m[i]) + t + 1)
-                   for z in box]
-        brute = [
-            z for z in box
-            if sum(z[i] * p[i][j] * z[j] for i in range(k) for j in range(k))
-            - 2 * sum(bi * zi for bi, zi in zip(b, z)) == c
-        ]
+        brute = _brute_shell(p, b, c)
         # ascending (z_{k-1}, ..., z_0): the order the witness note depends on
         assert shell_z_points(p, b, c) == brute
         seen += len(brute)
     assert seen > 100
+
+
+def _splits(p) -> bool:
+    """Is p a direct sum of two blocks, z_0..z_i and z_{i+1}.. for some i?"""
+    return any(all(not any(row[i + 1:]) for row in p[:i + 1]) for i in range(len(p) - 1))
+
+
+def _block_shell_systems():
+    """60 seeded shells (p, b, c) whose p is a direct sum of positive
+    definite blocks of size 1-3, twelve of each k = 2-6, so that split
+    levels fall mid-walk; every fifth p is diagonal, and about a third of
+    the blocks have b = 0 on them. Every fourth system has its coordinates
+    shuffled, so that its blocks interleave and a pivot row can reach
+    past a later row that does not. Each shell passes through a point
+    near the centre p^-1 b, which keeps it nonempty; a shell whose box
+    holds more than 50 000 points is drawn again, which keeps the scan
+    quick."""
+    rng = random.Random(1954)
+    case = 0
+    while case < 60:
+        k = 2 + case % 5
+        sizes = []
+        while sum(sizes) < k:
+            sizes.append(1 if case % 10 < 2 else rng.randint(1, min(3, k - sum(sizes))))
+        p = [[0] * k for _ in range(k)]
+        b = []
+        at = 0
+        for size in sizes:
+            block = _random_positive_definite(rng, size)
+            for i in range(size):
+                p[at + i][at:at + size] = block[i]
+            flat = rng.random() < 1 / 3
+            b += [0 if flat else rng.randint(-3, 3) for _ in range(size)]
+            at += size
+        if case % 4 == 3:
+            order = rng.sample(range(k), k)
+            p = [[p[i][j] for j in order] for i in order]
+            b = [b[i] for i in order]
+        inv = inverse(p)
+        z0 = [round(sum(inv[i][j] * b[j] for j in range(k))) + rng.randint(-1, 1)
+              for i in range(k)]
+        c = sum(x * p[i][j] * y for i, x in enumerate(z0) for j, y in enumerate(z0))
+        c -= 2 * sum(map(operator.mul, b, z0))
+        if math.prod(map(len, _shell_box(p, b, c))) <= 50_000:
+            case += 1
+            yield p, b, c
+
+
+def test_block_diagonal_shells_match_brute_force():
+    # an orthogonal block's subtree is walked once per rem and reused for
+    # every prefix above it; the points and their order must be the scan's
+    seen = split = 0
+    for p, b, c in _block_shell_systems():
+        brute = _brute_shell(p, b, c)
+        assert shell_z_points(p, b, c) == brute
+        seen += len(brute)
+        split += _splits(p)
+    assert seen > 1000 and split >= 45
 
 
 def test_shell_points_affine_images():
@@ -640,6 +723,23 @@ def test_one_walk_covers_every_level():
             assert _walk(*unit_elimination, det_p * s, unit, cols, range(9)) == expected
             images += len(expected)
     assert images > 5000 and negative > 100
+    # on block-diagonal forms the walk reuses a block's subtree only
+    # within the level it was walked at, whose border it depends on
+    images = 0
+    for p, b_unit, c_unit in _block_shell_systems():
+        k = len(p)
+        unit_elimination = _eliminate(p, b_unit, c_unit)
+        det_p = unit_elimination[0][-1][0]
+        cols = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(k)]
+        unit = tuple(rng.randint(-5, 5) for _ in range(3))
+        for s in (0, -2):
+            expected = []
+            for m in range(4):
+                expected += _shell_points(p, [m * x for x in b_unit], m * m * c_unit - s,
+                                          tuple(m * x for x in unit), cols)
+            assert _walk(*unit_elimination, det_p * s, unit, cols, range(4)) == expected
+            images += len(expected)
+    assert images > 5000
     # rank 2: the level-0 walk alone gives the witness, and a bound below
     # g leaves no level to walk
     lat = Lattice(((2, 0), (0, -2)))
@@ -775,11 +875,27 @@ def test_one_elimination_per_frame(monkeypatch, gram, dtype, bnd):
     assert calls["_walk"] == len(frame.div_table) < bnd // frame.g
 
 
+def test_split_levels_walk_each_block_once(monkeypatch):
+    # on diag(2, -2^7) with ample (1, 0, ..., 0) the kernel form is 2 I_7,
+    # so every level is a split level and each (level, rem) subtree is
+    # walked once per pairing level; a walk that reused no subtree would
+    # make 1 540 isqrt calls for the same 924 classes
+    calls = []
+
+    def isqrt(x):
+        calls.append(x)
+        return math.isqrt(x)
+
+    monkeypatch.setattr(engine, "math", types.SimpleNamespace(isqrt=isqrt, gcd=math.gcd))
+    found = enumerate_exceptional(Lattice(RANK8_SHELL), K3, (1,) + (0,) * 7, B4)
+    assert len(found) == 924 and len(calls) == 69
+
+
 def _reference_cases():
     """(lattice, type, ample, bound) for the per-class reference: 60 random
     rank 2-7 systems, then rank 8, the shell workload's top rank, in random
     unimodular bases, where every level of the recursion carries a nonzero
-    partial image."""
+    partial image; then 16 diagonal rank 3-7 systems in their own basis."""
     rng = random.Random(2718)
     types = [K3, parse_type("K3[n]", 2), parse_type("K3[n]", 3), parse_type("Kum[n]", 2),
              parse_type("OG6"), parse_type("OG10")]
@@ -807,15 +923,33 @@ def _reference_cases():
                            ((2, 1, 0, 0, 0, 0, 0, 0), parse_type("OG10"), 6)):
         lat, (ample,) = transported(rng, base, [ample0])
         yield lat, t, ample, bnd
+    # diagonal lattices left in their own basis: most ample kernels split
+    # into orthogonal blocks, and the walk reuses their subtrees
+    rng = random.Random(1891)
+    for _ in range(16):
+        rank = rng.randint(3, 7)
+        diag = [rng.choice((1, 2, 4))] + [-rng.choice((1, 2, 2, 4, 6)) for _ in range(rank - 1)]
+        base = Lattice(tuple(
+            tuple(diag[i] if i == j else 0 for j in range(rank)) for i in range(rank)
+        ))
+        while True:
+            ample = (rng.randint(1, 3),) + tuple(rng.choice((-1, 0, 0, 0, 1))
+                                                 for _ in range(rank - 1))
+            if pairing(base, ample, ample) > 0:
+                break
+        t = rng.choice(types)
+        g = _shell_frame(base, t, ample).g
+        yield base, t, ample, g * rng.randint(2, 4)
 
 
 def test_enumerate_matches_per_class_reference():
     # the frame scales one split to every pairing level; rebuilding each
     # class with pairing/norm/is_primitive/divisibility must give the same
     # classes in the same order, witness included
-    classes = levels_above_one = witnesses = rank8 = 0
+    classes = levels_above_one = witnesses = rank8 = split = 0
     for lat, t, ample, bnd in _reference_cases():
         frame = _shell_frame(lat, t, ample)
+        split += _splits(frame.p_matrix)
         expected = reference_profile_levels(lat, t, ample, bnd)
         assert sorted(expected) == list(range(bnd // frame.g + 1))
         for m, found in expected.items():
@@ -831,3 +965,4 @@ def test_enumerate_matches_per_class_reference():
             assert any(lat.gram[i][j] for i in range(8) for j in range(i))
             rank8 += len(got)
     assert classes > 900 and levels_above_one >= 15 and witnesses >= 15 and rank8 > 100
+    assert split >= 12

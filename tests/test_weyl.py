@@ -208,6 +208,19 @@ def test_weyl_reduce_step_cap():
         weyl_reduce(DIAG, ((0, 1), (0, -1)), (1, 1), max_steps=50)
 
 
+def test_weyl_reduce_rejects_a_malformed_step_cap():
+    # the cap is checked as EnumerationBound checks its fields, whether or
+    # not a step is needed
+    for max_steps in (-1, True, False, 1.5, 2.0, "3", None):
+        for v in ((2, 1), (2, -1)):
+            with pytest.raises(PreconditionError, match="max_steps must be a nonnegative integer"):
+                weyl_reduce(DIAG, ((0, 1),), v, max_steps=max_steps)
+    # 0 allows no step: a reduced input passes, one that needs a step does not
+    assert weyl_reduce(DIAG, ((0, 1),), (2, -1), max_steps=0).steps == 0
+    with pytest.raises(BoundExceededError, match="within 0 steps"):
+        weyl_reduce(DIAG, ((0, 1),), (2, 1), max_steps=0)
+
+
 def _chamber(L, roots, ample):
     rows = [gram_vec(L, r) for r in roots] + [gram_vec(L, ample)]
     return dd_generators(rows, L.rank)
