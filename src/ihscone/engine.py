@@ -16,12 +16,12 @@ profile table) and the elimination itself are built once per analysis in a
 elimination (k + 1 integers) instead of eliminating again, and one walk
 per profile square covers every level, so a level without a point costs
 a comparison or, at rank 2, one isqrt. The walk carries each point's
-class and its Gram image down the recursion, so a point costs one vector
-step and at most two gcds; the ample-wall witness and the SVG chart reuse
-the frame. Where the form splits into orthogonal blocks, as on a diagonal
-Picard lattice, the walk lists the points of each lower block once per
-remaining radius and level and reuses them for every prefix above it
-(`_walk`), in the same order.
+class down the recursion, with its Gram image when the square restricts
+the divisibility, so a point costs one vector step and at most two gcds;
+the ample-wall witness and the SVG chart reuse the frame. Where the form
+splits into orthogonal blocks, as on a diagonal Picard lattice, the walk
+lists the points of each lower block once per remaining radius and level
+and reuses them for every prefix above it (`_walk`), in the same order.
 
 Building the frame also decides the signature: q(a) > 0 for the ample
 class a splits Q^n = Qa + a^perp orthogonally, so the signature is
