@@ -11,7 +11,7 @@ import json
 import re
 import sys
 from dataclasses import dataclass, fields, replace
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from .alphas import (
     AlphaResult,
@@ -61,12 +61,17 @@ def _load_json(text: str) -> Any:
     """json.loads, with its errors as InputFormatError.
 
     An integer literal over the interpreter's int-from-str digit limit
-    makes json.loads raise a plain ValueError.
+    makes json.loads raise a plain ValueError, and arrays or objects
+    nested deeper than the recursion limit a RecursionError.
     """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(
+            "JSON arrays or objects nested deeper than the interpreter's recursion limit"
+        ) from exc
     except ValueError as exc:
         raise InputFormatError(_digit_limit_message("an integer literal")) from exc
 
@@ -432,26 +437,98 @@ def _render_json(report: dict, fmt: str) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+class _Option(NamedTuple):
+    """One flag of a subcommand: the keywords of its argparse store action.
+
+    A named tuple, not a dataclass: it is built at import, which every
+    one-shot CLI process pays for, and a frozen dataclass costs about 1 ms
+    to define there against 0.2 ms for this.
+    """
+
+    dest: str
+    type: Optional[Callable[[str], Any]] = None
+    choices: Optional[tuple[str, ...]] = None
+    default: Any = None
+    required: bool = False
+    help: Optional[str] = None
+
+
+_COMMON = {
+    "--input": _Option("input", required=True, help="path to the JSON input document"),
+    "--output": _Option("output", help="write the report here instead of stdout"),
+    "--format": _Option("format", choices=("json", "pretty"), default="json"),
+}
+_BOUND = {"--bound": _Option("bound", type=int, help="override max_ample_pairing")}
+
+# the flags of each subcommand, in help order: the one definition of the
+# command line, from which both _build_parser and _parse_argv work
+_OPTIONS: dict[str, dict[str, _Option]] = {
+    "analyze": {**_COMMON, **_BOUND},
+    "enumerate": {**_COMMON, **_BOUND},
+    "reduce": {**_COMMON, **_BOUND, "--max-steps": _Option("max_steps", type=int, default=10000)},
+    "alpha": _COMMON,
+    "pell": _COMMON,
+    "plot-section": {**_COMMON, **_BOUND},
+    "rank2": {**_COMMON, **_BOUND},
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ihscone",
         description="Exact cone analysis for hyperbolic Picard-type lattices.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in ("analyze", "enumerate", "reduce", "alpha", "pell", "plot-section", "rank2"):
+    for name, options in _OPTIONS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--input", required=True, help="path to the JSON input document")
-        sp.add_argument("--output", help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=("json", "pretty"), default="json")
-        if name in ("analyze", "enumerate", "reduce", "rank2", "plot-section"):
-            sp.add_argument("--bound", type=int, help="override max_ample_pairing")
-        if name == "reduce":
-            sp.add_argument("--max-steps", type=int, default=10000)
+        for flag, option in options.items():
+            sp.add_argument(flag, **option._asdict())
     return parser
 
 
 # built once per process; parse_args returns a fresh Namespace per call
 _PARSER = _build_parser()
+
+
+def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
+    """`_PARSER.parse_args(argv)`, with argparse skipped on the common form.
+
+    The common form is SUBCOMMAND (FLAG VALUE)*: every FLAG an exact flag
+    of the subcommand, every VALUE of its flag's type and choices and not
+    starting with '-' (argparse reads `-x` as a flag but `-3` as a value),
+    and every required flag given; its namespace is built from _OPTIONS.
+    Any other command line (help, `--flag=value`, abbreviations, `--`) and
+    every error go to argparse, the one source of usage, help and errors.
+    """
+    options = _OPTIONS.get(argv[0]) if len(argv) % 2 else None
+    if options is not None:
+        args = argparse.Namespace()
+        values = vars(args)
+        values["subcommand"] = argv[0]
+        required = []
+        for flag, option in options.items():
+            values[option.dest] = option.default
+            if option.required:
+                required.append(flag)
+        for i in range(1, len(argv), 2):
+            flag, value = argv[i], argv[i + 1]
+            option = options.get(flag)
+            if option is None or value.startswith("-"):
+                break
+            if option.type is not None:
+                try:
+                    value = option.type(value)
+                except ValueError:
+                    break
+            if option.choices is not None and value not in option.choices:
+                break
+            values[option.dest] = value
+            if flag in required:
+                required.remove(flag)
+        else:
+            if not required:
+                return args
+    return _PARSER.parse_args(argv)
 
 
 def _report_text(args: argparse.Namespace, text: str) -> str:
@@ -482,7 +559,7 @@ def _report_text(args: argparse.Namespace, text: str) -> str:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()

@@ -4,14 +4,15 @@ Everything here is deliberately written from scratch against the
 definitions, not by calling back into the code under test, so the test
 suite has a second opinion on the hard parts (Pell solving, bounded
 class enumeration, chamber walls, rank-2 boundary rays, section geometry
-in `Fraction`s). Two exceptions call the library: the Eff/Mov duality
-round trip runs its double description twice, as an oracle for the duality
-that `engine.analyze` proves, and `_shell_points` is the engine's
-elimination followed by its walk, the unscaled lister the frame tests
-compare against.
+in `Fraction`s, the CLI's argparse parser). Two exceptions call the
+library: the Eff/Mov duality round trip runs its double description
+twice, as an oracle for the duality that `engine.analyze` proves, and
+`_shell_points` is the engine's elimination followed by its walk, the
+unscaled lister the frame tests compare against.
 """
 from __future__ import annotations
 
+import argparse
 import math
 import random
 from dataclasses import dataclass
@@ -684,3 +685,23 @@ def fraction_ray_point(p, qa: int, ray, w0: int, w1: int, w2: int):
     s = -lam * (p[1][1] * w1 - p[0][1] * w2) / det
     t = -lam * (p[0][0] * w2 - p[1][0] * w1) / det
     return float(s), float(t)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's argparse parser as written before the option table: the
+    reference for its usage, help and error text."""
+    parser = argparse.ArgumentParser(
+        prog="ihscone",
+        description="Exact cone analysis for hyperbolic Picard-type lattices.",
+    )
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name in ("analyze", "enumerate", "reduce", "alpha", "pell", "plot-section", "rank2"):
+        sp = sub.add_parser(name)
+        sp.add_argument("--input", required=True, help="path to the JSON input document")
+        sp.add_argument("--output", help="write the report here instead of stdout")
+        sp.add_argument("--format", choices=("json", "pretty"), default="json")
+        if name in ("analyze", "enumerate", "reduce", "rank2", "plot-section"):
+            sp.add_argument("--bound", type=int, help="override max_ample_pairing")
+        if name == "reduce":
+            sp.add_argument("--max-steps", type=int, default=10000)
+    return parser

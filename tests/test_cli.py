@@ -1,7 +1,9 @@
 """End-to-end CLI behavior: input validation, report shape, schema
 conformance, exit codes, determinism."""
 import collections
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -28,7 +30,7 @@ from ihscone.errors import (
     PreconditionError,
     SignatureError,
 )
-from tests.helpers import signature_corpus
+from tests.helpers import reference_parser, signature_corpus
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "report-v1.schema.json"
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
@@ -462,6 +464,23 @@ def _cli_process(subcommand, path, *extra):
     )
 
 
+_DEEP = 100_000
+
+
+@pytest.mark.parametrize("subcommand, text", [
+    ("analyze", '{"gram": %s, "type": "K3"}' % ("[" * _DEEP + "]" * _DEEP)),
+    ("pell", '{"n": %s}' % ("[" * _DEEP + "1" + "]" * _DEEP)),
+], ids=["gram", "pell-n"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, subcommand, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    proc = _cli_process(subcommand, path)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    e = _error_doc(proc.stderr)
+    assert e["kind"] == "InputFormatError" and "recursion limit" in e["message"]
+
+
 def test_unreadable_input_prints_no_traceback(tmp_path):
     path = tmp_path / "latin1.json"
     path.write_bytes(b'{"n": 5, "label": "caf\xe9"}')
@@ -726,6 +745,8 @@ def test_parser_reuse_keeps_no_state(tmp_path, capsys):
         ("frobnicate",),
         ("enumerate", "--format", "pretty"),
         ("enumerate",),
+        ("enumerate", "--bound=2"),
+        ("enumerate", "--bou", "2"),
     ]
     seen = []
     for subcommand, *extra in calls:
@@ -740,6 +761,45 @@ def test_parser_reuse_keeps_no_state(tmp_path, capsys):
     # each option changes its own call's result, so a leak would show
     assert seen[0] != seen[1] and seen[5] != seen[6] and seen[1] == seen[6]
     assert [code for code, _ in seen[2:5]] == [4, 0, 2]
+    # argparse's own forms of the first call's option parse the same
+    assert seen[7] == seen[8] == seen[0]
+
+
+def _help_text(parser, argv):
+    """What `parser.parse_args(argv)` prints for a help request."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    assert info.value.code == 0
+    return out.getvalue()
+
+
+def test_help_text_matches_reference_parser():
+    """The parser built from the option table prints the help of the one
+    written out by hand, at the top level and for every subcommand."""
+    reference = reference_parser()
+    assert cli._PARSER.format_help() == reference.format_help()
+    subcommands = ("analyze", "enumerate", "reduce", "alpha", "pell", "plot-section", "rank2")
+    assert tuple(cli._OPTIONS) == subcommands
+    for argv in (["-h"], *([name, "-h"] for name in subcommands)):
+        assert _help_text(cli._PARSER, argv) == _help_text(reference, argv), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["pell", "--input", "in.json"],
+    ["analyze", "--input", "in.json", "--format", "pretty", "--output", "out.json"],
+    ["enumerate", "--bound", "3", "--input", "in.json", "--bound", "+4"],
+    ["reduce", "--input", "", "--max-steps", " 12", "--bound", "1_0"],
+    ["plot-section", "--output", "out.svg", "--input", "in.json"],
+    ["alpha", "--input", "in.json", "--input", "other.json"],
+    ["rank2", "--format", "json", "--input", "in.json"],
+])
+def test_common_command_lines_skip_argparse(monkeypatch, argv):
+    """SUBCOMMAND (FLAG VALUE)* with exact flags and plain values is
+    parsed from the option table alone, to the reference namespace."""
+    expected = vars(reference_parser().parse_args(argv))
+    monkeypatch.setattr(cli, "_PARSER", None)  # any use of argparse raises
+    assert vars(cli._parse_argv(argv)) == expected
 
 
 # ------------------------------------------------------ formats, stability

@@ -1,5 +1,6 @@
 """Random JSON documents through `cli.main`: every subcommand ends in a
-documented exit code, never in an exception that escapes `main`.
+documented exit code, never in an exception that escapes `main`. Random
+command lines parse as argparse parses them.
 
 A document starts valid in shape (rank <= 3, entries in [-6, 6], bound
 overrides <= 4) and then takes up to three corruptions: junk values
@@ -17,8 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft7Validator
 
+from ihscone import cli
 from ihscone.cli import main
 from ihscone.engine import EnumerationBound
+from tests.helpers import reference_parser
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "report-v1.schema.json"
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
@@ -161,3 +164,46 @@ def test_schema_bound_echo_names_the_bound_fields():
     bound = definitions[ref.rsplit("/", 1)[-1]]
     assert sorted(bound["properties"]) == sorted(BOUND_FIELDS)
     assert sorted(bound["required"]) == sorted(BOUND_FIELDS)
+
+
+REFERENCE_PARSER = reference_parser()
+# exact flags of some subcommands, the forms only argparse reads, and junk
+FLAGS = ("--input",) * 4 + ("--output", "--format", "--bound", "--max-steps") * 2 + (
+    "--inp", "--input=in.json", "--bound=2", "--format=yaml", "-h", "--help", "--", "-x",
+    "--frob",
+)
+VALUES = ("in.json", "out", "json", "pretty", "yaml", "2", "-3", " 4", "1_0", "", "x", "-x",
+          "--input", "pell", "3.5")
+
+
+@st.composite
+def command_lines(draw):
+    argv = [draw(st.sampled_from(SUBCOMMANDS * 3 + ("frobnicate", "-h", "--input")))]
+    if draw(st.integers(0, 3)):
+        argv += ["--input", draw(st.sampled_from(("in.json", "")))]
+    for _ in range(draw(st.integers(0, 3))):
+        argv.append(draw(st.sampled_from(FLAGS)))
+        if draw(st.integers(0, 9)):  # otherwise the value is missing
+            argv.append(draw(st.sampled_from(VALUES) | st.text(max_size=3)))
+    if draw(st.integers(0, 19)) == 0:
+        del argv[0]
+    return draw(st.permutations(argv)) if draw(st.integers(0, 9)) == 0 else argv
+
+
+def _parse_outcome(parse, argv):
+    """The namespace of a parse, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+def test_command_lines_parse_as_argparse_parses_them(argv):
+    expected = _parse_outcome(cli._PARSER.parse_args, argv)
+    assert _parse_outcome(cli._parse_argv, argv) == expected
+    assert _parse_outcome(REFERENCE_PARSER.parse_args, argv) == expected
