@@ -18,10 +18,10 @@ discriminant-class relation disc(alpha) = -disc(E).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .catalog import DeformationType, Kind, expected_disc_group, matches_profile
 from .errors import ContractViolationError, PreconditionError
@@ -29,26 +29,12 @@ from .lattice import Lattice, Vec, divisibility, disc_class, is_primitive, norm,
 from .pell import PellSolution, fundamental_solution, is_perfect_square, second_solution
 
 
-@dataclass(frozen=True)
-class AlphaContext:
-    L: Lattice
-    D: Vec
-    E: Vec
-    d: int
-    t: int
-    b: int
-    e: int
-    N: int
-
-
-@dataclass(frozen=True)
-class AlphaResult:
-    alpha: Vec
-    branch: str  # case_a | case_b_square_N | case_b_pell
-    pell_solution_used: Optional[PellSolution]
-    certified_primitive: bool
-    certified_effective: bool
-    div_alpha: Optional[int]
+AlphaContext = namedtuple("AlphaContext", "L D E d t b e N")
+# branch is case_a, case_b_square_N or case_b_pell
+AlphaResult = namedtuple(
+    "AlphaResult",
+    "alpha branch pell_solution_used certified_primitive certified_effective div_alpha",
+)
 
 
 def build_context(L: Lattice, D: Sequence[int], E: Sequence[int]) -> AlphaContext:

@@ -14,7 +14,7 @@ a different normal form).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -33,35 +33,33 @@ class Kind(Enum):
 _NEEDS_N = (Kind.K3N, Kind.KUMN)
 
 
-@dataclass(frozen=True)
-class DeformationType:
-    kind: Kind
-    n: Optional[int] = None
+class DeformationType(namedtuple("DeformationType", "kind n")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind in _NEEDS_N:
-            if self.n is None or self.n < 2:
+    def __new__(cls, kind: Kind, n: Optional[int] = None) -> DeformationType:
+        if kind in _NEEDS_N:
+            if n is None or n < 2:
                 raise InputFormatError(
-                    "type %s requires the parameter n >= 2" % self.kind.value
+                    "type %s requires the parameter n >= 2" % kind.value
                 )
-        elif self.n is not None:
+        elif n is not None:
             raise InputFormatError(
-                "type %s does not take a parameter n" % self.kind.value
+                "type %s does not take a parameter n" % kind.value
             )
+        return super().__new__(cls, kind, n)
 
     @property
     def tag(self) -> str:
         return self.kind.value
 
 
-@dataclass(frozen=True)
-class ExceptionalProfile:
-    square: int
-    div: int
+class ExceptionalProfile(namedtuple("ExceptionalProfile", "square div")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.square >= 0 or self.div < 1:
+    def __new__(cls, square: int, div: int) -> ExceptionalProfile:
+        if square >= 0 or div < 1:
             raise PreconditionError("profile needs square < 0 and div >= 1")
+        return super().__new__(cls, square, div)
 
 
 def parse_type(tag: str, n: Optional[int] = None) -> DeformationType:

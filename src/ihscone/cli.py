@@ -10,8 +10,9 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from functools import cache
+from typing import Any, Optional, Sequence
 
 from .alphas import (
     AlphaResult,
@@ -20,7 +21,7 @@ from .alphas import (
     alpha_effective,
     build_context,
 )
-from .catalog import DeformationType, expected_disc_group, matches_profile, parse_type
+from .catalog import expected_disc_group, matches_profile, parse_type
 from .engine import (
     ConeAnalysis,
     EnumerationBound,
@@ -33,7 +34,7 @@ from .engine import (
     mds_classify,
 )
 from .errors import BoundExceededError, IHSConeError, InputFormatError, PreconditionError
-from .lattice import Lattice, Vec, discriminant_group, norm
+from .lattice import Lattice, Vec, discriminant_group, norm, pairing
 from .pell import (
     INDEX_CAP,
     fundamental_solution,
@@ -149,20 +150,14 @@ def _stringify(obj: Any) -> Any:
     return obj
 
 
-@dataclass(frozen=True)
-class InputSpec:
-    lattice: Lattice
-    dtype: DeformationType
-    ample: Optional[Vec]
-    bound: EnumerationBound
-    label: Optional[str]
-    vector: Optional[Vec] = None
-    d_class: Optional[Vec] = None
-    e_class: Optional[Vec] = None
-
+InputSpec = namedtuple(
+    "InputSpec",
+    "lattice dtype ample bound label vector d_class e_class",
+    defaults=(None, None, None),
+)
 
 _LATTICE_FIELDS = {"gram", "type", "n", "ample", "bound", "label", "vector", "D", "E"}
-_BOUND_FIELDS = {f.name for f in fields(EnumerationBound)}
+_BOUND_FIELDS = set(EnumerationBound._fields)
 
 
 def parse_input(text: str) -> InputSpec:
@@ -195,7 +190,7 @@ def parse_input(text: str) -> InputSpec:
             raise InputFormatError(f"bound: unknown fields: {', '.join(bad)}")
         overrides = {k: _as_int(v, f"bound.{k}") for k, v in braw.items()}
         try:
-            bound = replace(bound, **overrides)
+            bound = EnumerationBound(**overrides)
         except PreconditionError as exc:
             raise InputFormatError(f"bound: {exc}") from exc
 
@@ -216,11 +211,6 @@ def parse_input(text: str) -> InputSpec:
     )
 
 
-def _field_dict(obj: Any) -> dict:
-    """The fields of a flat dataclass by name: `asdict` without its deep copy."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-
 def _echo(spec: InputSpec) -> dict:
     doc: dict[str, Any] = {
         "gram": [list(r) for r in spec.lattice.gram],
@@ -228,7 +218,7 @@ def _echo(spec: InputSpec) -> dict:
         "n": spec.dtype.n,
         "ample": list(spec.ample) if spec.ample is not None else None,
         "label": spec.label,
-        "bound": _field_dict(spec.bound),
+        "bound": spec.bound._asdict(),
     }
     for key, vec in (("vector", spec.vector), ("D", spec.d_class), ("E", spec.e_class)):
         if vec is not None:
@@ -252,7 +242,7 @@ def _require_ample(spec: InputSpec) -> Vec:
 
 
 def _ray_json(desc: RayDescriptor) -> dict:
-    doc = {k: v for k, v in _field_dict(desc).items() if v is not None}
+    doc = {k: v for k, v in desc._asdict().items() if v is not None}
     return {**doc, "display": desc.display()}
 
 
@@ -302,12 +292,12 @@ def _analysis_json(spec: InputSpec, analysis: ConeAnalysis) -> dict:
         "duality_checked": True,
         "rank2": _rank2_json(analysis.rank2),
         "finiteness": {
-            **_field_dict(finiteness),
+            **finiteness._asdict(),
             "bir_finite": eff,
             "quotient_finite": eff,
             "finitely_many_exceptional_up_to_bound": True,
         },
-        "mds": _field_dict(mds_classify(analysis)),
+        "mds": mds_classify(analysis)._asdict(),
         "notes": list(analysis.notes),
     }
 
@@ -328,9 +318,23 @@ def run_enumerate(spec: InputSpec) -> dict:
 
 
 def run_reduce(spec: InputSpec, max_steps: int) -> dict:
+    """Reduce the vector into the chamber of the ample class a.
+
+    Reflections keep each sheet of the positive cone, so a vector v with
+    pairing(v, a) < 0 can never reach the chamber; it is refused.  A v
+    off the closed positive cone is left to weyl_reduce's own check.
+    """
     if spec.vector is None:
         raise InputFormatError("missing required field 'vector'")
-    roots = enumerate_exceptional(spec.lattice, spec.dtype, _require_ample(spec), spec.bound)
+    ample = _require_ample(spec)
+    roots = enumerate_exceptional(spec.lattice, spec.dtype, ample, spec.bound)
+    if norm(spec.lattice, spec.vector) >= 0:
+        side = pairing(spec.lattice, spec.vector, ample)
+        if side < 0:
+            raise PreconditionError(
+                "vector to reduce must lie on the ample class's sheet of the positive "
+                f"cone, pairing(vector, ample) is {side}"
+            )
     reduction = weyl_reduce(spec.lattice, roots, spec.vector, max_steps=max_steps)
     return {
         **_header(spec, "reduce"),
@@ -437,20 +441,10 @@ def _render_json(report: dict, fmt: str) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-class _Option(NamedTuple):
-    """One flag of a subcommand: the keywords of its argparse store action.
-
-    A named tuple, not a dataclass: it is built at import, which every
-    one-shot CLI process pays for, and a frozen dataclass costs about 1 ms
-    to define there against 0.2 ms for this.
-    """
-
-    dest: str
-    type: Optional[Callable[[str], Any]] = None
-    choices: Optional[tuple[str, ...]] = None
-    default: Any = None
-    required: bool = False
-    help: Optional[str] = None
+# one flag of a subcommand: the keywords of its argparse store action
+_Option = namedtuple(
+    "_Option", "dest type choices default required help", defaults=(None, None, None, False, None)
+)
 
 
 _COMMON = {
@@ -461,7 +455,7 @@ _COMMON = {
 _BOUND = {"--bound": _Option("bound", type=int, help="override max_ample_pairing")}
 
 # the flags of each subcommand, in help order: the one definition of the
-# command line, from which both _build_parser and _parse_argv work
+# command line, from which both _parser and _parse_argv work
 _OPTIONS: dict[str, dict[str, _Option]] = {
     "analyze": {**_COMMON, **_BOUND},
     "enumerate": {**_COMMON, **_BOUND},
@@ -473,7 +467,10 @@ _OPTIONS: dict[str, dict[str, _Option]] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+# built on first need, once per process (the common command line never
+# needs it); parse_args returns a fresh Namespace per call
+@cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ihscone",
         description="Exact cone analysis for hyperbolic Picard-type lattices.",
@@ -486,19 +483,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# built once per process; parse_args returns a fresh Namespace per call
-_PARSER = _build_parser()
-
-
 def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
-    """`_PARSER.parse_args(argv)`, with argparse skipped on the common form.
+    """`_parser().parse_args(argv)`, with argparse skipped on the common form.
 
     The common form is SUBCOMMAND (FLAG VALUE)*: every FLAG an exact flag
     of the subcommand, every VALUE of its flag's type and choices and not
     starting with '-' (argparse reads `-x` as a flag but `-3` as a value),
     and every required flag given; its namespace is built from _OPTIONS.
     Any other command line (help, `--flag=value`, abbreviations, `--`) and
-    every error go to argparse, the one source of usage, help and errors.
+    every error go to argparse, the one source of usage, help and errors;
+    only they build the parser.
     """
     options = _OPTIONS.get(argv[0]) if len(argv) % 2 else None
     if options is not None:
@@ -528,7 +522,7 @@ def _parse_argv(argv: Sequence[str]) -> argparse.Namespace:
         else:
             if not required:
                 return args
-    return _PARSER.parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def _report_text(args: argparse.Namespace, text: str) -> str:
@@ -538,7 +532,9 @@ def _report_text(args: argparse.Namespace, text: str) -> str:
     spec = parse_input(text)
     if getattr(args, "bound", None) is not None:
         try:
-            spec = replace(spec, bound=replace(spec.bound, max_ample_pairing=args.bound))
+            # through the constructor, which checks the value; _replace would not
+            bound = EnumerationBound(**{**spec.bound._asdict(), "max_ample_pairing": args.bound})
+            spec = spec._replace(bound=bound)
         except PreconditionError as exc:
             raise InputFormatError(f"--bound: {exc}") from exc
     if args.subcommand == "plot-section":

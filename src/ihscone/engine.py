@@ -44,7 +44,7 @@ a + b*sqrt(delta) decide the irrational isotropic rays, in integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, mul
 from typing import Optional, Sequence
@@ -63,23 +63,32 @@ VERDICT_CIRCULAR = "CircularUpToBound"
 VERDICT_POLYHEDRAL = "PolyhedralCandidate"
 
 
-@dataclass(frozen=True)
-class EnumerationBound:
-    """Truncation knobs for the otherwise-infinite searches."""
+class EnumerationBound(namedtuple(
+    "EnumerationBound", "max_ample_pairing wall_test_limit pell_index_cap"
+)):
+    """Truncation knobs for the otherwise-infinite searches.
 
-    max_ample_pairing: int = 10
-    wall_test_limit: int = 8
-    pell_index_cap: int = INDEX_CAP
+    Every field must be a positive integer; `_replace` and `_make` skip
+    that check, so a changed bound is built through this constructor.
+    """
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    __slots__ = ()
+
+    def __new__(
+        cls, max_ample_pairing: int = 10, wall_test_limit: int = 8, pell_index_cap: int = INDEX_CAP
+    ) -> EnumerationBound:
+        self = super().__new__(cls, max_ample_pairing, wall_test_limit, pell_index_cap)
+        for name, value in zip(cls._fields, self):
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise PreconditionError(f"{f.name} must be a positive integer, got {value!r}")
+                raise PreconditionError(f"{name} must be a positive integer, got {value!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class RayDescriptor:
+class RayDescriptor(namedtuple(
+    "RayDescriptor",
+    "rational vector num_const sign delta den orientation",
+    defaults=(None,) * 6,
+)):
     """Exact description of a rank-2 boundary ray.
 
     Rational rays carry a primitive integer vector. Irrational rays describe
@@ -87,13 +96,7 @@ class RayDescriptor:
     with den > 0; delta is the (nonsquare) discriminant of the binary form.
     """
 
-    rational: bool
-    vector: Optional[Vec] = None
-    num_const: Optional[int] = None
-    sign: Optional[int] = None
-    delta: Optional[int] = None
-    den: Optional[int] = None
-    orientation: Optional[int] = None
+    __slots__ = ()
 
     def display(self) -> str:
         if self.rational:
@@ -104,39 +107,26 @@ class RayDescriptor:
         return f"{prefix}({core}, 1)"
 
 
-@dataclass(frozen=True)
-class Rank2Report:
-    ray1: RayDescriptor
-    ray2: RayDescriptor
+class Rank2Report(namedtuple("Rank2Report", "ray1 ray2")):
+    __slots__ = ()
 
     @property
     def both_rational(self) -> bool:
         return self.ray1.rational and self.ray2.rational
 
 
-@dataclass(frozen=True)
-class FinitenessReport:
-    eff_rational_polyhedral_up_to_bound: bool
-    equivalence_applicable: bool
-    caveat: str
+FinitenessReport = namedtuple(
+    "FinitenessReport", "eff_rational_polyhedral_up_to_bound equivalence_applicable caveat"
+)
+MDSReport = namedtuple("MDSReport", "is_mds reason")
 
 
-@dataclass(frozen=True)
-class MDSReport:
-    is_mds: bool
-    reason: str
-
-
-@dataclass(frozen=True)
-class ConeAnalysis:
-    lattice: Lattice
-    type: DeformationType
-    ample: Vec
-    bound: EnumerationBound
-    exceptional_found: tuple[Vec, ...]
-    chamber_walls: tuple[Vec, ...]
-    rank2: Optional[Rank2Report] = None
-    notes: tuple[str, ...] = field(default_factory=tuple)
+class ConeAnalysis(namedtuple(
+    "ConeAnalysis",
+    "lattice type ample bound exceptional_found chamber_walls rank2 notes",
+    defaults=(None, ()),
+)):
+    __slots__ = ()
 
     @property
     def verdict(self) -> str:
@@ -327,8 +317,10 @@ def _ample_frame(lattice: Lattice, ample: Vec):
     return g, x_unit, kernel
 
 
-@dataclass(frozen=True)
-class _ShellFrame:
+class _ShellFrame(namedtuple(
+    "_ShellFrame",
+    "g columns p_matrix x_unit gram_x_unit levels border_unit rem_unit div_table",
+)):
     """Integer data every shell class of one lattice, type and ample class needs.
 
     With g, x_unit and the kernel basis K of `_ample_frame` and G the
@@ -349,15 +341,7 @@ class _ShellFrame:
     (Sylvester) when every pivot, a leading principal minor, is positive.
     """
 
-    g: int
-    columns: tuple[Vec, ...]
-    p_matrix: tuple[Vec, ...]
-    x_unit: Vec
-    gram_x_unit: Vec
-    levels: tuple[tuple[int, Vec, int], ...]
-    border_unit: Vec
-    rem_unit: int
-    div_table: tuple[tuple[int, tuple[int, ...]], ...]
+    __slots__ = ()
 
 
 # the ample-wall witness and the SVG chart reuse the frame enumeration built

@@ -8,7 +8,7 @@ floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import index, mul
@@ -69,16 +69,18 @@ def det_int(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class Lattice:
-    """Free Z-module of finite rank with a nondegenerate integer pairing."""
+class Lattice(namedtuple("Lattice", "gram label")):
+    """Free Z-module of finite rank with a nondegenerate integer pairing.
 
-    gram: Mat
-    label: str = ""
+    A named tuple (gram, label); construction makes gram a tuple of
+    integer tuples and checks that it is square, symmetric and
+    nondegenerate.
+    """
 
-    def __post_init__(self):
-        g = tuple(_as_vec(row) for row in self.gram)
-        object.__setattr__(self, "gram", g)
+    __slots__ = ()
+
+    def __new__(cls, gram: Sequence[Sequence[int]], label: str = "") -> Lattice:
+        g = tuple(_as_vec(row) for row in gram)
         n = len(g)
         if n == 0:
             raise InputFormatError("gram matrix must have positive rank")
@@ -97,6 +99,7 @@ class Lattice:
                     )
         if det_int(g) == 0:
             raise DegenerateGramError("gram matrix is degenerate (determinant 0)")
+        return super().__new__(cls, g, label)
 
     @property
     def rank(self) -> int:
@@ -252,29 +255,26 @@ def _xgcd(p: int, q: int):
     return g, s, t
 
 
-@dataclass(frozen=True)
-class DiscriminantGroup:
+class DiscriminantGroup(namedtuple(
+    "DiscriminantGroup", "invariant_factors generator_lifts order"
+)):
     """The finite group dual-lattice / lattice, in invariant-factor form."""
 
-    invariant_factors: tuple[int, ...]
-    generator_lifts: tuple[tuple[Fraction, ...], ...]
-    order: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DiscClass:
+class DiscClass(namedtuple("DiscClass", "coefficients invariant_factors")):
     """Element of a discriminant group: one residue per invariant factor."""
 
-    coefficients: tuple[int, ...]
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coefficients) != len(self.invariant_factors):
+    def __new__(cls, coefficients: Sequence[int], invariant_factors: Sequence[int]) -> DiscClass:
+        if len(coefficients) != len(invariant_factors):
             raise PreconditionError("coefficient/factor length mismatch")
-        object.__setattr__(
-            self,
-            "coefficients",
-            tuple(c % d for c, d in zip(self.coefficients, self.invariant_factors)),
+        return super().__new__(
+            cls,
+            tuple(c % d for c, d in zip(coefficients, invariant_factors)),
+            invariant_factors,
         )
 
     def __neg__(self) -> "DiscClass":

@@ -14,7 +14,7 @@ PellSolution re-checks the equation on every solution it holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BoundExceededError,
@@ -27,17 +27,15 @@ from .errors import (
 INDEX_CAP = 64  # default for how many solutions a residue search tries
 
 
-@dataclass(frozen=True)
-class PellSolution:
-    x: int
-    y: int
-    n_param: int
+class PellSolution(namedtuple("PellSolution", "x y n_param")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x * self.x - self.n_param * self.y * self.y != 1:
+    def __new__(cls, x: int, y: int, n_param: int) -> PellSolution:
+        if x * x - n_param * y * y != 1:
             raise PreconditionError(
-                "(%d, %d) does not solve x^2 - %d*y^2 = 1" % (self.x, self.y, self.n_param)
+                "(%d, %d) does not solve x^2 - %d*y^2 = 1" % (x, y, n_param)
             )
+        return super().__new__(cls, x, y, n_param)
 
 
 def is_perfect_square(n: int):

@@ -9,7 +9,7 @@ incidence, which root hyperplanes actually support facets of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 from operator import mul
 from typing import Sequence
@@ -22,10 +22,8 @@ from .errors import (
 from .lattice import Lattice, Vec, gram_vec, mat_vec, norm, pairing
 
 
-@dataclass(frozen=True)
-class Reflection:
-    root: Vec
-    root_norm: int
+class Reflection(namedtuple("Reflection", "root root_norm")):
+    __slots__ = ()
 
     @staticmethod
     def of(L: Lattice, root: Sequence[int]) -> "Reflection":
@@ -70,11 +68,8 @@ def reflection_is_integral(L: Lattice, root: Sequence[int]) -> bool:
     return all(2 * x % ref.root_norm == 0 for x in gram_vec(L, ref.root))
 
 
-@dataclass(frozen=True)
-class ChamberReduction:
-    representative: Vec
-    word: tuple[Vec, ...]  # roots in the order applied
-    steps: int
+# word holds the roots in the order applied
+ChamberReduction = namedtuple("ChamberReduction", "representative word steps")
 
 
 def weyl_reduce(
@@ -92,6 +87,15 @@ def weyl_reduce(
     every step's pairings are dot products of G r with the current vector,
     and the reflection reuses the pivot's pairing and norm, as `reflect`
     would compute them.  max_steps must be a nonnegative integer.
+
+    Termination: let every root pair positively with an ample class a and
+    reflect integrally, as enumerated classes do, and let v lie on a's
+    sheet of the closed positive cone, so pairing(v, a) >= 0.  A step in
+    a root r with pairing(v, r) < 0 subtracts c*r with c = 2*pairing(v, r)
+    / norm(r) a positive integer, so it lowers the integer pairing(v, a)
+    by c*pairing(r, a) >= 1, and reflections keep the sheet.  Reduction
+    therefore ends within pairing(v, a) steps.  On the other sheet no
+    number of steps reaches the chamber; `cli.run_reduce` refuses such v.
     """
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
         raise PreconditionError(f"max_steps must be a nonnegative integer, got {max_steps!r}")

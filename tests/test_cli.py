@@ -778,11 +778,11 @@ def test_help_text_matches_reference_parser():
     """The parser built from the option table prints the help of the one
     written out by hand, at the top level and for every subcommand."""
     reference = reference_parser()
-    assert cli._PARSER.format_help() == reference.format_help()
+    assert cli._parser().format_help() == reference.format_help()
     subcommands = ("analyze", "enumerate", "reduce", "alpha", "pell", "plot-section", "rank2")
     assert tuple(cli._OPTIONS) == subcommands
     for argv in (["-h"], *([name, "-h"] for name in subcommands)):
-        assert _help_text(cli._PARSER, argv) == _help_text(reference, argv), argv
+        assert _help_text(cli._parser(), argv) == _help_text(reference, argv), argv
 
 
 @pytest.mark.parametrize("argv", [
@@ -798,7 +798,7 @@ def test_common_command_lines_skip_argparse(monkeypatch, argv):
     """SUBCOMMAND (FLAG VALUE)* with exact flags and plain values is
     parsed from the option table alone, to the reference namespace."""
     expected = vars(reference_parser().parse_args(argv))
-    monkeypatch.setattr(cli, "_PARSER", None)  # any use of argparse raises
+    monkeypatch.setattr(cli, "_parser", None)  # any use of argparse raises
     assert vars(cli._parse_argv(argv)) == expected
 
 

@@ -1,6 +1,5 @@
 """Bounded cone analysis: exceptional enumeration, chamber walls, the
 dichotomy verdict, rank-2 boundary rays, finiteness and MDS reports."""
-import dataclasses
 import hashlib
 import math
 import operator
@@ -235,7 +234,7 @@ def test_analyze_circular_rank3_frozen():
 
 
 def test_reports_need_the_rank2_report_at_rank_2():
-    res = dataclasses.replace(analyze(DENSE, K3, (1, 0)), rank2=None)
+    res = analyze(DENSE, K3, (1, 0))._replace(rank2=None)
     for report in (finiteness_report, mds_classify):
         with pytest.raises(PreconditionError, match="missing its boundary-ray report"):
             report(res)

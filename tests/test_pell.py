@@ -137,7 +137,7 @@ def test_recursion_chain_properties(n):
     s = fund
     for _ in range(10):
         t = next_solution(s, fund)
-        # the dataclass re-checks the equation on construction
+        # PellSolution re-checks the equation on construction
         assert t.x > s.x and t.y > s.y
         s = t
 
