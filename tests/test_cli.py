@@ -178,6 +178,56 @@ def test_reduce_end_to_end(tmp_path, capsys):
     assert doc["input"]["vector"] == ["2", "3"]
 
 
+_DIAG4 = [[2, 0, 0, 0], [0, -2, 0, 0], [0, 0, -2, 0], [0, 0, 0, -2]]
+
+
+@pytest.mark.parametrize("bound", [1, 8])
+def test_reduce_refuses_a_vector_on_the_other_sheet(tmp_path, capsys, bound):
+    # reflections keep each sheet of the positive cone, so -a never
+    # reaches a's chamber: at bound 1 (no roots) it came back as its own
+    # representative, at bound 8 it ran out the 10 000-step budget
+    doc_in = {"gram": _DIAG4, "type": "K3", "ample": [1, 0, 0, 0],
+              "bound": {"max_ample_pairing": bound}}
+    path = _write(tmp_path, dict(doc_in, vector=[-1, 0, 0, 0]))
+    code, out, err = _run(capsys, ["reduce", "--input", path])
+    assert (code, out) == (3, "")
+    assert _error_doc(err) == {
+        "kind": "PreconditionError",
+        "message": "vector to reduce must lie on the ample class's sheet of the positive "
+                   "cone, pairing(vector, ample) is -2",
+    }
+    # a vector off the closed positive cone keeps weyl_reduce's message
+    path = _write(tmp_path, dict(doc_in, vector=[-1, 2, 0, 0]), "neg.json")
+    code, out, err = _run(capsys, ["reduce", "--input", path])
+    assert (code, out) == (3, "")
+    assert _error_doc(err) == {
+        "kind": "PreconditionError",
+        "message": "vector to reduce must lie in the closed positive cone, norm is -6",
+    }
+    path = _write(tmp_path, dict(doc_in, vector=[1, 0, 0, 0]), "a.json")
+    code, out, _ = _run(capsys, ["reduce", "--input", path])
+    assert code == 0
+    assert json.loads(out)["representative"] == ["1", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("flags, bound, message", [
+    (["--bound", "0"], None, "--bound: max_ample_pairing must be a positive integer, got 0"),
+    (["--bound=0"], None, "--bound: max_ample_pairing must be a positive integer, got 0"),
+    ([], {"max_ample_pairing": 0}, "bound: max_ample_pairing must be a positive integer, got 0"),
+    ([], {"wall_test_limit": 3, "pell_index_cap": 0},
+     "bound: pell_index_cap must be a positive integer, got 0"),
+])
+def test_a_zero_bound_is_an_input_error(tmp_path, capsys, flags, bound, message):
+    # a changed bound is built through EnumerationBound's constructor,
+    # whose checks _replace would skip
+    doc_in = RANK3_DOC if bound is None else dict(RANK3_DOC, bound=bound)
+    for subcommand in ("analyze", "enumerate"):
+        argv = [subcommand, "--input", _write(tmp_path, doc_in), *flags]
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert _error_doc(err) == {"kind": "InputFormatError", "message": message}
+
+
 def test_alpha_end_to_end(tmp_path, capsys):
     doc_in = {
         "gram": [[2, 1], [1, -2]], "type": "K3[n]", "n": 2,

@@ -1,8 +1,13 @@
 """Library contract checks must survive ``python -O``."""
 import ast
+import copy
 import importlib
 import importlib.util
+import json
+import os
+import pickle
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +17,7 @@ import ihscone
 from ihscone import polyhedra
 from ihscone.catalog import parse_type
 from ihscone.engine import EnumerationBound, analyze
+from ihscone.errors import InputFormatError, PreconditionError
 from ihscone.lattice import Lattice
 from tests import helpers
 
@@ -93,6 +99,72 @@ def test_library_imports_at_module_level():
         if isinstance(inner, (ast.Import, ast.ImportFrom))
     ]
     assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # records are named tuples: dataclasses (and the inspect module it
+    # imports) cost more to import and define than a one-shot CLI process
+    # spends on a small document
+    package = Path(ihscone.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
+
+
+_START_UP = """
+import json, sys
+from ihscone import cli
+code = cli.main(["pell", "--input", sys.argv[1]])
+print(json.dumps({
+    "code": code,
+    "loaded": sorted({"dataclasses", "inspect"} & set(sys.modules)),
+    "parsers": cli._parser.cache_info().currsize,
+}))
+"""
+
+
+def test_cli_start_up_skips_dataclasses_and_the_parser(tmp_path):
+    # a fresh interpreter (-S: no site hooks) answers a common-form command
+    # line without importing dataclasses or inspect or building the parser
+    path = tmp_path / "pell.json"
+    path.write_text(json.dumps({"n": 7}))
+    src = str(Path(ihscone.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _START_UP, str(path)],
+        capture_output=True, text=True, env=env, check=True, timeout=60,
+    )
+    *report, result = proc.stdout.splitlines()
+    assert json.loads("".join(report))["fundamental"] == {"x": "8", "y": "3"}
+    assert json.loads(result) == {"code": 0, "loaded": [], "parsers": 0}
+
+
+def test_records_survive_pickle_and_copy():
+    # unpickling and copying go through the constructor, so the records
+    # come back equal and checked; _make skips the checks and builds the
+    # invalid records below, which the round trip then refuses
+    records = [
+        Lattice([[2, 1], [1, -2]], "dense"),
+        EnumerationBound(),
+        EnumerationBound(max_ample_pairing=3, wall_test_limit=9, pell_index_cap=5),
+    ]
+    for record in records:
+        for twin in (
+            pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)
+        ):
+            assert type(twin) is type(record) and twin == record
+    assert pickle.loads(pickle.dumps(records[0])).gram == ((2, 1), (1, -2))
+    bad_bound = EnumerationBound._make((0, 8, 64))
+    bad_lattice = Lattice._make((((2, 1), (0, -2)), ""))
+    for bad, error in ((bad_bound, PreconditionError), (bad_lattice, InputFormatError)):
+        for round_trip in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
+            with pytest.raises(error):
+                round_trip(bad)
 
 
 def test_wall_pass_builds_no_fraction(monkeypatch):

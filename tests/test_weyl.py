@@ -186,6 +186,44 @@ def test_weyl_reduce_matches_reflect_reference():
     assert total_steps >= 40
 
 
+def test_weyl_reduce_ends_within_the_ample_pairing():
+    # enumerated roots pair positively with the ample class a and reflect
+    # integrally, so each step lowers the integer pairing(v, a) by at least
+    # 1 and stays on a's sheet (weyl_reduce docstring): max_steps =
+    # pairing(v, a) always suffices.  Reflecting a vector near the cone's
+    # boundary in roots it pairs positively with moves it away from the
+    # chamber first.
+    rng = random.Random(6161)
+    types = [parse_type("K3"), parse_type("K3[n]", 2), parse_type("OG6")]
+    total_steps = 0
+    for _ in range(40):
+        rank = rng.randint(3, 7)
+        diag = [2] + [-rng.choice((2, 2, 4)) for _ in range(rank - 1)]
+        base = Lattice(tuple(
+            tuple(diag[i] if i == j else 0 for j in range(rank)) for i in range(rank)
+        ))
+        ample0 = (1,) + (0,) * (rank - 1)
+        v0 = near_boundary_vector(rng, diag, 6)
+        lat, (ample, v) = transported(rng, base, [ample0, v0])
+        roots = enumerate_exceptional(
+            lat, rng.choice(types), ample, EnumerationBound(max_ample_pairing=rng.randint(1, 4))
+        )
+        for _ in range(rng.randint(0, 6)):
+            away = [r for r in roots if pairing(lat, r, v) > 0]
+            if away:
+                v = reflect(lat, rng.choice(away), v)
+        cap = pairing(lat, v, ample)
+        red = weyl_reduce(lat, roots, v, max_steps=cap)
+        levels = [cap]
+        for root in red.word:
+            v = reflect(lat, root, v)
+            levels.append(pairing(lat, v, ample))
+        assert v == red.representative
+        assert all(x > y >= 0 for x, y in zip(levels, levels[1:]))
+        total_steps += red.steps
+    assert total_steps >= 100
+
+
 def test_weyl_reduce_rejects_negative_norm():
     with pytest.raises(PreconditionError):
         weyl_reduce(DENSE, DENSE_ROOTS, (0, 1))
