@@ -10,15 +10,16 @@ ellipsoid; `_eliminate` reduces it by fraction-free integer elimination and
 `_walk` lists its integer points, so the search uses integers only. Their
 output order is fixed because the ample-wall witness printed in reports is
 the first class it meets. The integer data a shell point needs to become a
-class (each kernel vector with its Gram image, the pairing-g translate, the
-profile table) and the elimination itself are built once per analysis in a
-`_ShellFrame`: every pairing level and profile square scales the frame's
-elimination (k + 1 integers) instead of eliminating again, and one walk
-per profile square covers every level, so a level without a point costs
-a comparison or, at rank 2, one isqrt. The walk carries each point's
-class down the recursion, with its Gram image when the square restricts
-the divisibility, so a point costs one vector step and at most two gcds;
-the ample-wall witness and the SVG chart reuse the frame. Where the form
+class (the kernel vectors, the pairing-g translate, the profile table) and
+the elimination itself are built once per analysis in a `_ShellFrame`:
+every pairing level and profile square scales the frame's elimination
+(k + 1 integers) instead of eliminating again, and one walk per profile
+square covers every level, so a level without a point costs a comparison
+or, at rank 2, one isqrt. The walk carries each point's class down the
+recursion, so a point costs one vector step and one gcd; the divisibility
+gcd(G v) is computed only for a primitive point of a square whose test
+can reject it, which the Gram content decides once per frame. The
+ample-wall witness and the SVG chart reuse the frame. Where the form
 splits into orthogonal blocks, as on a diagonal Picard lattice, the walk
 lists the points of each lower block once per remaining radius and level
 and reuses them for every prefix above it (`_walk`), in the same order.
@@ -54,7 +55,7 @@ from .errors import (
     BoundExceededError, ContractViolationError, IHSConeError, MixedRationalityError,
     PreconditionError, SignatureError,
 )
-from .lattice import Lattice, Vec, gram_vec, norm, signature, smith_normal_form
+from .lattice import Lattice, Vec, gram_vec, mat_vec, norm, signature, smith_normal_form
 from .pell import INDEX_CAP, is_perfect_square
 from .polyhedra import canonical_ray, dd_generators, dot
 from .weyl import is_chamber_wall
@@ -319,17 +320,21 @@ def _ample_frame(lattice: Lattice, ample: Vec):
 
 class _ShellFrame(namedtuple(
     "_ShellFrame",
-    "g columns p_matrix x_unit gram_x_unit levels border_unit rem_unit div_table",
+    "g kernel p_matrix x_unit levels border_unit rem_unit gram div_table",
 )):
     """Integer data every shell class of one lattice, type and ample class needs.
 
     With g, x_unit and the kernel basis K of `_ample_frame` and G the
-    Gram matrix: columns[i] = u || G u for the i-th kernel vector u, so
-    a class v = m x_unit + K z and its pairing vector G v are the two
-    halves of one affine image m (x_unit || G x_unit) + sum_i z_i columns[i];
-    p_matrix is the positive definite -K^T G K, x_unit and
-    gram_x_unit = G x_unit describe the pairing-g translate, and div_table
-    is `profile_table(t)`.
+    Gram matrix gram: a class of level m is v = m x_unit + K z, the affine
+    image m x_unit + sum_i z_i kernel[i]; p_matrix is the positive definite
+    -K^T G K.
+
+    div_table is `profile_table(t)` with the divisibility test dropped where
+    it cannot reject a class: let c be the Gram content, the gcd of every
+    entry of G. c divides every entry of G v, so c | div(v) for every v,
+    and a square with an allowed divisibility d | c accepts every class
+    (`div_matches`). Such a square is listed as (square, None); every other
+    square keeps its allowed divisibilities.
 
     levels, border_unit and rem_unit are `_eliminate` run once on
     (p_matrix, b_unit, c_unit) with b_unit = K^T G x_unit and
@@ -356,16 +361,20 @@ def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFram
         [dot(u, gram_x_unit) for u in kernel],
         dot(x_unit, gram_x_unit),
     )
+    content = math.gcd(*(x for row in lattice.gram for x in row))
     return _ShellFrame(
         g=g,
-        columns=tuple(u + gu for u, gu in zip(kernel, gram_kernel)),
+        kernel=tuple(kernel),
         p_matrix=p_matrix,
         x_unit=x_unit,
-        gram_x_unit=gram_x_unit,
         levels=levels,
         border_unit=border_unit,
         rem_unit=rem_unit,
-        div_table=profile_table(t),
+        gram=lattice.gram,
+        div_table=tuple(
+            (square, None if div_matches(content, allowed) else allowed)
+            for square, allowed in profile_table(t)
+        ),
     )
 
 
@@ -413,30 +422,20 @@ def _profile_classes(frame: _ShellFrame, ms):
     integer are those of a walk after `_eliminate(p, m b_unit, m^2 c_unit - square)`;
     so one `_walk` per square covers every level, in the order of ms.
 
-    Squares are visited in ascending order, each over every level. `_walk`
-    carries each point's image w = (x_p || G x_p) + sum_i z_i columns[i]
-    down its recursion, so w is v followed by G v. gcd(v) is tested first:
-    a non-primitive v is dropped whatever its divisibility, which is gcd(G v).
-    A square whose allowed divisibilities include 1 accepts every
-    divisibility (`div_matches`), so its walk carries v alone, x_p plus
-    the kernel halves of the columns, and only gcd(v) is tested.
+    Squares are visited in ascending order, each over every level, and
+    `_walk` carries each point's class v = m x_unit + K z down its
+    recursion. gcd(v) is tested first: a non-primitive v is dropped
+    whatever its divisibility. A square the frame lists with allowed
+    divisibilities then tests div(v) = gcd(G v) on the primitive points
+    alone; one listed with None accepts every divisibility (`_ShellFrame`).
     """
-    n = len(frame.x_unit)
-    unit = frame.x_unit + frame.gram_x_unit
-    kernel = [col[:n] for col in frame.columns]
     det_p = frame.levels[-1][0] if frame.levels else 1
     for square, allowed in frame.div_table:
-        shift = det_p * square
-        if 1 in allowed:
-            for v in _walk(frame.levels, frame.border_unit, frame.rem_unit, shift,
-                           frame.x_unit, kernel, ms):
-                if math.gcd(*v) == 1:
-                    yield v
-            continue
-        for w in _walk(frame.levels, frame.border_unit, frame.rem_unit, shift,
-                       unit, frame.columns, ms):
-            v = w[:n]
-            if math.gcd(*v) == 1 and div_matches(math.gcd(*w[n:]), allowed):
+        for v in _walk(frame.levels, frame.border_unit, frame.rem_unit, det_p * square,
+                       frame.x_unit, frame.kernel, ms):
+            if math.gcd(*v) == 1 and (
+                allowed is None or div_matches(math.gcd(*mat_vec(frame.gram, v)), allowed)
+            ):
                 yield v
 
 

@@ -26,12 +26,16 @@ Mat = tuple[Vec, ...]
 
 
 def _as_vec(v: Sequence[int]) -> Vec:
-    """v as a tuple of ints; a bool or a non-integer entry is an InputFormatError."""
+    """v as a tuple of ints; a bool or a non-integer entry is an InputFormatError.
+
+    v is read once, so a one-shot iterator is checked as a list is.
+    """
     try:
-        w = tuple(map(index, v))
+        items = tuple(v)
+        w = tuple(map(index, items))
     except TypeError as exc:
         raise InputFormatError(f"expected integer entries, got {v!r}") from exc
-    if bool in map(type, v):
+    if bool in map(type, items):
         raise InputFormatError(f"expected integer entries, got a boolean in {v!r}")
     return w
 

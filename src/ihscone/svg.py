@@ -19,7 +19,6 @@ import math
 from .engine import ConeAnalysis, _shell_frame
 from .errors import PreconditionError
 from .lattice import norm, pairing
-from .polyhedra import dot
 
 _FMT = "%.6f"
 _CANVAS = 640  # pixels per side
@@ -107,9 +106,8 @@ def render_section(analysis: ConeAnalysis) -> str:
     qa = norm(lattice, ample)
     frame = _shell_frame(lattice, analysis.type, ample)
     p = frame.p_matrix
-    # columns[i] = u_i || G u_i, so pairing(u_i, wall) is wall . columns[i][3:]
     lines = [
-        (wall, pairing(lattice, ample, wall), *(dot(wall, col[3:]) for col in frame.columns))
+        (wall, *(pairing(lattice, u, wall) for u in (ample, *frame.kernel)))
         for wall in analysis.chamber_walls
     ]
     try:

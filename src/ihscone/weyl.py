@@ -81,12 +81,13 @@ def weyl_reduce(
     index.  The recorded word, applied right-to-left to the
     representative, reconstructs the input.
 
-    Each root is checked once, and its Gram image and norm(r) are computed
-    once: they decide the integrality precondition (norm(r) divides every
-    entry of 2 G r, i.e. 2 gcd(G r), the test of `reflection_is_integral`),
-    every step's pairings are dot products of G r with the current vector,
-    and the reflection reuses the pivot's pairing and norm, as `reflect`
-    would compute them.  max_steps must be a nonnegative integer.
+    Each root is checked once, before any step: check_vector, norm(r) < 0
+    and the integrality precondition (norm(r) divides every entry of 2 G r,
+    i.e. 2 gcd(G r), the test of `reflection_is_integral`). Nothing from
+    that pass is kept. A step pairs every root with G cur, one Gram image
+    per step instead of one per root, and the reflection computes the
+    pivot's norm, as `reflect` would.  max_steps must be a nonnegative
+    integer.
 
     Termination: let every root pair positively with an ample class a and
     reflect integrally, as enumerated classes do, and let v lie on a's
@@ -100,15 +101,11 @@ def weyl_reduce(
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
         raise PreconditionError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     rs = [L.check_vector(r) for r in roots]
-    gram_rs: list[Vec] = []
-    norms: list[int] = []
     for i, r in enumerate(rs):
         gr = mat_vec(L.gram, r)
         q = _checked_root_norm(sum(map(mul, r, gr)))
         if 2 * gcd(*gr) % q:
             raise PreconditionError("root %d does not define an integral reflection" % i)
-        gram_rs.append(gr)
-        norms.append(q)
     cur = L.check_vector(v)
     if norm(L, cur) < 0:
         raise PreconditionError(
@@ -118,7 +115,8 @@ def weyl_reduce(
     word: list[Vec] = []
     steps = 0
     while True:
-        pairings = [sum(map(mul, gr, cur)) for gr in gram_rs]
+        gcur = mat_vec(L.gram, cur)
+        pairings = [sum(map(mul, r, gcur)) for r in rs]
         worst_val = min(pairings, default=0)
         if worst_val >= 0:
             return ChamberReduction(cur, tuple(word), steps)
@@ -127,9 +125,8 @@ def weyl_reduce(
                 "chamber reduction did not terminate within %d steps" % max_steps
             )
         # list.index takes the lowest index among ties
-        worst = pairings.index(worst_val)
-        r = rs[worst]
-        c = _reflection_coefficient(2 * worst_val, norms[worst])
+        r = rs[pairings.index(worst_val)]
+        c = _reflection_coefficient(2 * worst_val, norm(L, r))
         cur = tuple(x - c * y for x, y in zip(cur, r))
         word.append(r)
         steps += 1

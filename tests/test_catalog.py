@@ -121,6 +121,16 @@ def test_profile_invariants_across_catalog():
             assert ps[1].div == 2 * ps[0].div
 
 
+def test_every_profile_square_divides_twice_its_divisibility():
+    # e^2 | 2 div(e), so the reflection in a profile class is integral:
+    # reduce reflects in enumerated classes on this theorem
+    types = [parse_type(tag) for tag in ("K3", "OG6", "OG10")]
+    types += [parse_type(tag, n) for tag in ("K3[n]", "Kum[n]") for n in range(2, 21)]
+    for t in types:
+        for p in profiles(t):
+            assert 2 * p.div % p.square == 0, (t, p)
+
+
 def test_matches_profile_divide_rule():
     t = parse_type("K3[n]", 2)
     # norm -2, divisibility 2 in this rank-1 slice: matched by both the

@@ -19,8 +19,10 @@ from jsonschema import Draft7Validator
 import ihscone
 from ihscone import alphas, cli, engine, lattice, pell
 from ihscone.catalog import parse_type
-from ihscone.cli import InputSpec, _stringify, main, parse_input, run_analyze, run_pell
-from ihscone.engine import EnumerationBound
+from ihscone.cli import (
+    InputSpec, _stringify, main, parse_input, run_analyze, run_pell, run_reduce,
+)
+from ihscone.engine import EnumerationBound, enumerate_exceptional
 from ihscone.errors import (
     BoundExceededError,
     ContractViolationError,
@@ -30,7 +32,13 @@ from ihscone.errors import (
     PreconditionError,
     SignatureError,
 )
-from tests.helpers import reference_parser, signature_corpus
+from ihscone.weyl import weyl_reduce
+from tests.helpers import (
+    near_boundary_vector,
+    reference_parser,
+    reference_weyl_reduce,
+    signature_corpus,
+)
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schemas" / "report-v1.schema.json"
 VALIDATOR = Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
@@ -208,6 +216,54 @@ def test_reduce_refuses_a_vector_on_the_other_sheet(tmp_path, capsys, bound):
     code, out, _ = _run(capsys, ["reduce", "--input", path])
     assert code == 0
     assert json.loads(out)["representative"] == ["1", "0", "0", "0"]
+
+
+# (type, n, diagonal, bound) with roots whose chamber a near-boundary
+# vector leaves, for every deformation type
+_REDUCE_TYPES = [
+    ("K3", None, (2, -2, -2, -2), 6),
+    ("K3[n]", 2, (2, -2, -2, -4), 6),
+    ("K3[n]", 3, (2, -2, -2, -2), 6),
+    ("Kum[n]", 2, (6, -6, -6, -6), 18),
+    ("OG6", None, (2, -2, -2, -2), 6),
+    ("OG10", None, (2, -2, -2, -6), 6),
+]
+
+
+@pytest.mark.parametrize("tag, n, diag, bound", _REDUCE_TYPES)
+def test_reduce_path_matches_weyl_reduce(tmp_path, capsys, tag, n, diag, bound):
+    # run_reduce reduces over its enumerated roots; weyl_reduce and the
+    # reflection reference must give the same representative, word and steps
+    rank = len(diag)
+    gram = [[diag[i] if i == j else 0 for j in range(rank)] for i in range(rank)]
+    doc_in = {"gram": gram, "type": tag, "ample": [1] + [0] * (rank - 1),
+              "bound": {"max_ample_pairing": bound}}
+    if n is not None:
+        doc_in["n"] = n
+    spec = parse_input(json.dumps(doc_in))
+    roots = enumerate_exceptional(spec.lattice, spec.dtype, spec.ample, spec.bound)
+    rng = random.Random(24)
+    stepped = 0
+    for _ in range(12):
+        v = near_boundary_vector(rng, diag, 3)
+        report = run_reduce(spec._replace(vector=v), 10000)
+        got = (tuple(report["representative"]), tuple(map(tuple, report["word"])),
+               report["steps"])
+        red = weyl_reduce(spec.lattice, roots, v)
+        assert got == tuple(red) == reference_weyl_reduce(spec.lattice, roots, v)
+        stepped += red.steps > 0
+    assert roots and stepped >= 3
+    # a vector on the other sheet, or off the closed positive cone, exits 3
+    for vector, message in (
+        ([-1] + [0] * (rank - 1), "vector to reduce must lie on the ample class's sheet "
+                                  f"of the positive cone, pairing(vector, ample) is {-diag[0]}"),
+        ([0, 1] + [0] * (rank - 2), "vector to reduce must lie in the closed positive cone, "
+                                    f"norm is {diag[1]}"),
+    ):
+        path = _write(tmp_path, dict(doc_in, vector=vector))
+        code, out, err = _run(capsys, ["reduce", "--input", path])
+        assert (code, out) == (3, "")
+        assert _error_doc(err) == {"kind": "PreconditionError", "message": message}
 
 
 @pytest.mark.parametrize("flags, bound, message", [

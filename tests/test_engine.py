@@ -9,7 +9,7 @@ import types
 import pytest
 
 from ihscone import engine
-from ihscone.catalog import is_numerically_exceptional, parse_type, profiles
+from ihscone.catalog import is_numerically_exceptional, parse_type, profile_table, profiles
 from ihscone.engine import (
     EnumerationBound,
     _ample_wall_witness,
@@ -939,6 +939,62 @@ def _reference_cases():
         t = rng.choice(types)
         g = _shell_frame(base, t, ample).g
         yield base, t, ample, g * rng.randint(2, 4)
+
+
+def _content_cases():
+    """(lattice, type, ample, bound, content): c times a rank 3-5 lattice of
+    content 1, in a random basis, for c in 1, 2, 3, 6 and every type."""
+    rng = random.Random(6006)
+    types = [K3, parse_type("K3[n]", 2), parse_type("K3[n]", 3), parse_type("Kum[n]", 2),
+             parse_type("OG6"), parse_type("OG10")]
+    for content in (1, 2, 3, 6):
+        for t in types:
+            for _ in range(2):
+                rank = rng.randint(3, 5)
+                # a -1 entry gives content 1 before scaling
+                diag = ([rng.choice((1, 2, 3))] + [-1]
+                        + [-rng.choice((1, 2, 3, 5)) for _ in range(rank - 2)])
+                base = Lattice(tuple(
+                    tuple(content * diag[i] if i == j else 0 for j in range(rank))
+                    for i in range(rank)
+                ))
+                while True:
+                    ample0 = (rng.randint(1, 3),) + tuple(
+                        rng.randint(-1, 1) for _ in range(rank - 1))
+                    if pairing(base, ample0, ample0) > 0:
+                        break
+                lat, (ample,) = transported(rng, base, [ample0], rank)
+                g = _shell_frame(lat, t, ample).g
+                yield lat, t, ample, g * rng.randint(3, 5), content
+
+
+def test_gram_content_decides_which_squares_test_divisibility():
+    # c = gcd of the Gram entries divides div(v) = gcd(G v) for every v, so a
+    # square with an allowed divisibility d | c needs no test; the others
+    # still reject points, e.g. OG10's (-6, 3) and Kum[2]'s (-6, 3 or 6) at c = 2
+    rejecting, classes = set(), 0
+    for lat, t, ample, bnd, content in _content_cases():
+        assert math.gcd(*(x for row in lat.gram for x in row)) == content
+        frame = _shell_frame(lat, t, ample)
+        table = profile_table(t)
+        assert [square for square, _ in frame.div_table] == [square for square, _ in table]
+        for (_, marked), (_, allowed) in zip(frame.div_table, table):
+            test_free = any(content % d == 0 for d in allowed)
+            assert marked == (None if test_free else allowed), (t, content)
+        expected = reference_profile_levels(lat, t, ample, bnd)
+        got = enumerate_exceptional(lat, t, ample, EnumerationBound(max_ample_pairing=bnd))
+        assert got == tuple(sorted(v for m in expected if m for v in expected[m]))
+        classes += len(got)
+        # the inverted rule tests where the content already decides and skips
+        # the test where it can reject a class
+        inverted = frame._replace(div_table=tuple(
+            (square, allowed if marked is None else None)
+            for (square, marked), (_, allowed) in zip(frame.div_table, table)
+        ))
+        ms = range(1, bnd // frame.g + 1)
+        if tuple(sorted(_profile_classes(inverted, ms))) != got:
+            rejecting.add((t.kind.value, content))
+    assert {("OG10", 2), ("Kum[n]", 2)} <= rejecting and classes > 250
 
 
 def test_enumerate_matches_per_class_reference():
