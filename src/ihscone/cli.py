@@ -198,9 +198,8 @@ def parse_input(text: str) -> InputSpec:
         _as_vector(doc[key], key, n_rank) if doc.get(key) is not None else None
         for key in ("ample", "vector", "D", "E")
     )
-    lattice = Lattice(tuple(rows), label=label or "")
     return InputSpec(
-        lattice=lattice,
+        lattice=Lattice(tuple(rows)),
         dtype=dtype,
         ample=ample,
         bound=bound,
@@ -404,7 +403,8 @@ def run_pell(text: str) -> dict:
         "input": {"n": n},
         "fundamental": {"x": fund.x, "y": fund.y},
         "second": {"x": second.x, "y": second.y},
-        "second_identity_holds": second.x - 1 == 2 * n * fund.y * fund.y,
+        # constant: second_solution raises unless x2 - 1 = 2*N*y1^2 holds
+        "second_identity_holds": True,
         "residue_solution": None,
     }
     if has_mod:

@@ -10,24 +10,26 @@ ellipsoid; `_eliminate` reduces it by fraction-free integer elimination and
 `_walk` lists its integer points, so the search uses integers only. Their
 output order is fixed because the ample-wall witness printed in reports is
 the first class it meets. The integer data a shell point needs to become a
-class (the kernel vectors, the pairing-g translate, the profile table) and
-the elimination itself are built once per analysis in a `_ShellFrame`:
+class (the Smith split along the ample class, the profile table) and the
+elimination itself are built once per analysis in a `_ShellFrame`:
 every pairing level and profile square scales the frame's elimination
 (k + 1 integers) instead of eliminating again, and one walk per profile
 square covers every level, so a level without a point costs a comparison
 or, at rank 2, one isqrt. The walk carries each point's class down the
 recursion, so a point costs one vector step and one gcd; the divisibility
 gcd(G v) is computed only for a primitive point of a square whose test
-can reject it, which the Gram content decides once per frame. The
-ample-wall witness and the SVG chart reuse the frame. Where the form
-splits into orthogonal blocks, as on a diagonal Picard lattice, the walk
-lists the points of each lower block once per remaining radius and level
-and reuses them for every prefix above it (`_walk`), in the same order.
+can reject it, which the Gram content decides once per frame. Where the
+form splits into orthogonal blocks, as on a diagonal Picard lattice, the
+walk lists the points of each lower block once per remaining radius and
+level and reuses them for every prefix above it (`_walk`), in the same
+order.
 
 Building the frame also decides the signature: q(a) > 0 for the ample
 class a splits Q^n = Qa + a^perp orthogonally, so the signature is
 (1, n - 1) exactly when every pivot of the frame's elimination is positive
-(`_ShellFrame`); `lattice.signature` runs only on an input that fails.
+(`_ShellFrame`). Enumeration, the ample-wall witness and the SVG chart
+reach the one cached frame through `_analysis_frame`, which checks the
+ample class and runs `lattice.signature` only on an input that fails.
 
 Chamber walls come from the incidence of one double-description pass over
 the found classes and the ample class. The `analyze` docstring proves those
@@ -297,37 +299,19 @@ def _walk(levels, border_unit, rem_unit, shift, unit, cols, ms) -> list[tuple[in
 # enumeration
 
 
-def _ample_frame(lattice: Lattice, ample: Vec):
-    """Split Z^n along the ample functional.
-
-    Returns (g, x_unit, kernel) with g = divisibility of the ample class,
-    a.x_unit = g for the functional a = gram_vec(ample), and kernel an
-    integer basis of {u : a.u = 0}. Every v with pairing(v, ample) = p
-    (necessarily g | p) is (p//g)*x_unit + an integer kernel combination.
-    """
-    a = gram_vec(lattice, ample)
-    diag, u_tr, v_tr = smith_normal_form((a,))
-    g = diag[0][0]
-    sgn = u_tr[0][0]
-    n = lattice.rank
-    cols = [tuple(v_tr[r][i] for r in range(n)) for i in range(n)]
-    x_unit = tuple(sgn * x for x in cols[0])
-    kernel = cols[1:]
-    if sum(ai * xi for ai, xi in zip(a, x_unit)) != g:
-        raise ContractViolationError("Smith form did not split off the ample functional")
-    return g, x_unit, kernel
-
-
 class _ShellFrame(namedtuple(
     "_ShellFrame",
     "g kernel p_matrix x_unit levels border_unit rem_unit gram div_table",
 )):
     """Integer data every shell class of one lattice, type and ample class needs.
 
-    With g, x_unit and the kernel basis K of `_ample_frame` and G the
-    Gram matrix gram: a class of level m is v = m x_unit + K z, the affine
-    image m x_unit + sum_i z_i kernel[i]; p_matrix is the positive definite
-    -K^T G K.
+    The frame splits Z^n along the ample functional a = G ample, with G the
+    Gram matrix gram: g is the divisibility of the ample class, a.x_unit = g,
+    and kernel is an integer basis K of {u : a.u = 0}, all read off one
+    Smith form of the 1 x n matrix (a). [x_unit | K] is unimodular, so every
+    class v with pairing(v, ample) = p (necessarily g | p) is, for level
+    m = p // g, v = m x_unit + K z, the affine image m x_unit + sum_i z_i
+    kernel[i]; p_matrix is the positive definite -K^T G K.
 
     div_table is `profile_table(t)` with the divisibility test dropped where
     it cannot reject a class: let c be the Gram content, the gcd of every
@@ -349,10 +333,16 @@ class _ShellFrame(namedtuple(
     __slots__ = ()
 
 
-# the ample-wall witness and the SVG chart reuse the frame enumeration built
+# one split and one elimination per document, reached through `_analysis_frame`
 @lru_cache(maxsize=1)
 def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFrame:
-    g, x_unit, kernel = _ample_frame(lattice, ample)
+    a = gram_vec(lattice, ample)
+    diag, u_tr, v_tr = smith_normal_form((a,))
+    g = diag[0][0]
+    x_unit, *kernel = zip(*v_tr)
+    x_unit = tuple(u_tr[0][0] * x for x in x_unit)
+    if dot(a, x_unit) != g:
+        raise ContractViolationError("Smith form did not split off the ample functional")
     gram_kernel = [gram_vec(lattice, u) for u in kernel]
     gram_x_unit = gram_vec(lattice, x_unit)
     p_matrix = tuple(tuple(-dot(u, gw) for gw in gram_kernel) for u in kernel)
@@ -362,25 +352,18 @@ def _shell_frame(lattice: Lattice, t: DeformationType, ample: Vec) -> _ShellFram
         dot(x_unit, gram_x_unit),
     )
     content = math.gcd(*(x for row in lattice.gram for x in row))
-    return _ShellFrame(
-        g=g,
-        kernel=tuple(kernel),
-        p_matrix=p_matrix,
-        x_unit=x_unit,
-        levels=levels,
-        border_unit=border_unit,
-        rem_unit=rem_unit,
-        gram=lattice.gram,
-        div_table=tuple(
-            (square, None if div_matches(content, allowed) else allowed)
-            for square, allowed in profile_table(t)
-        ),
+    div_table = tuple(
+        (square, None if div_matches(content, allowed) else allowed)
+        for square, allowed in profile_table(t)
     )
+    return _ShellFrame(g, tuple(kernel), p_matrix, x_unit, levels, border_unit, rem_unit,
+                       lattice.gram, div_table)
 
 
 def _analysis_frame(lattice: Lattice, t: DeformationType, ample) -> _ShellFrame:
     """The shell frame of a checked ample class, which decides the signature.
 
+    Every reader's way into `_shell_frame`, so all name a bad input alike.
     `lattice.signature` runs only when a step fails, so a wrong signature is
     reported first, whatever else is wrong; otherwise the step's error stands.
     """
@@ -464,17 +447,6 @@ def enumerate_exceptional(
     frame = _analysis_frame(lattice, t, ample)
     ms = range(1, bound.max_ample_pairing // frame.g + 1)
     return tuple(sorted(_profile_classes(frame, ms)))
-
-
-def _ample_wall_witness(
-    lattice: Lattice, t: DeformationType, ample: Vec
-) -> Optional[Vec]:
-    """A profile-matching class orthogonal to the ample class, if one exists.
-
-    The first class in shell order at level m = 0 is returned; reports
-    print it, so the order of `_walk` is part of the output.
-    """
-    return next(_profile_classes(_shell_frame(lattice, t, tuple(ample)), (0,)), None)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +578,9 @@ def analyze(
     read the walls off its incidence; at rank 2 attach the boundary-ray report.
     `finiteness_report` and `mds_classify` derive the other reports.
 
+    The ample-wall witness is the frame's first level-0 class in shell
+    order; reports print it, so the order of `_walk` is part of the output.
+
     The walls need no second pass to be the extremal rays, because duality
     between them and the movable half-spaces is already proven. Let C be
     the chamber {x : pairing(x, r) >= 0 for every found class r and for the
@@ -625,7 +600,7 @@ def analyze(
     classes = enumerate_exceptional(lattice, t, ample, bound)
     n = lattice.rank
     notes: list[str] = []
-    witness = _ample_wall_witness(lattice, t, ample)
+    witness = next(_profile_classes(_analysis_frame(lattice, t, ample), (0,)), None)
     if witness is not None:
         notes.append(
             f"ample class is orthogonal to the profile-matching class "

@@ -28,15 +28,20 @@ Mat = tuple[Vec, ...]
 def _as_vec(v: Sequence[int]) -> Vec:
     """v as a tuple of ints; a bool or a non-integer entry is an InputFormatError.
 
-    v is read once, so a one-shot iterator is checked as a list is.
+    v is read once, so a one-shot iterator is checked as a list is, and its
+    error shows the entries read, as a tuple; a list or tuple is shown as is.
     """
     try:
         items = tuple(v)
-        w = tuple(map(index, items))
     except TypeError as exc:
         raise InputFormatError(f"expected integer entries, got {v!r}") from exc
+    shown = v if isinstance(v, (list, tuple)) else items
+    try:
+        w = tuple(map(index, items))
+    except TypeError as exc:
+        raise InputFormatError(f"expected integer entries, got {shown!r}") from exc
     if bool in map(type, items):
-        raise InputFormatError(f"expected integer entries, got a boolean in {v!r}")
+        raise InputFormatError(f"expected integer entries, got a boolean in {shown!r}")
     return w
 
 
@@ -73,17 +78,17 @@ def det_int(m) -> int:
     return sign * a[n - 1][n - 1]
 
 
-class Lattice(namedtuple("Lattice", "gram label")):
+class Lattice(namedtuple("Lattice", "gram")):
     """Free Z-module of finite rank with a nondegenerate integer pairing.
 
-    A named tuple (gram, label); construction makes gram a tuple of
+    A named tuple (gram,); construction makes gram a tuple of
     integer tuples and checks that it is square, symmetric and
     nondegenerate.
     """
 
     __slots__ = ()
 
-    def __new__(cls, gram: Sequence[Sequence[int]], label: str = "") -> Lattice:
+    def __new__(cls, gram: Sequence[Sequence[int]]) -> Lattice:
         g = tuple(_as_vec(row) for row in gram)
         n = len(g)
         if n == 0:
@@ -103,7 +108,7 @@ class Lattice(namedtuple("Lattice", "gram label")):
                     )
         if det_int(g) == 0:
             raise DegenerateGramError("gram matrix is degenerate (determinant 0)")
-        return super().__new__(cls, g, label)
+        return super().__new__(cls, g)
 
     @property
     def rank(self) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .engine import ConeAnalysis, _shell_frame
+from .engine import ConeAnalysis, _analysis_frame
 from .errors import PreconditionError
 from .lattice import norm, pairing
 
@@ -103,8 +103,8 @@ def render_section(analysis: ConeAnalysis) -> str:
             f"section plots need rank 3, got rank {lattice.rank}; use analyze for reports"
         )
     ample = analysis.ample
+    frame = _analysis_frame(lattice, analysis.type, ample)
     qa = norm(lattice, ample)
-    frame = _shell_frame(lattice, analysis.type, ample)
     p = frame.p_matrix
     lines = [
         (wall, *(pairing(lattice, u, wall) for u in (ample, *frame.kernel)))

@@ -22,7 +22,7 @@ from math import gcd, isqrt, lcm
 
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
 from ihscone.catalog import parse_type
-from ihscone.engine import Rank2Report, RayDescriptor, _ample_frame, _eliminate, _walk
+from ihscone.engine import Rank2Report, RayDescriptor, _eliminate, _shell_frame, _walk
 from ihscone.errors import MixedRationalityError, PreconditionError
 from ihscone.lattice import det_int, divisibility, gram_vec, is_primitive, pairing
 from ihscone.pell import is_perfect_square
@@ -225,7 +225,8 @@ def reference_profile_levels(lat: Lattice, dtype, ample, bound_b: int):
     split and shell lister, so it checks the class assembly only. Returns
     {m: [classes in shell order]}.
     """
-    g, x_unit, kernel = _ample_frame(lat, ample)
+    frame = _shell_frame(lat, dtype, ample)
+    g, x_unit, kernel = frame.g, frame.x_unit, frame.kernel
     p_matrix = [[-pairing(lat, u, w) for w in kernel] for u in kernel]
     table = {}
     for prof in profiles(dtype):

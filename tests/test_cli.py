@@ -721,6 +721,23 @@ _BAD_LABEL = "label: expected a string"
         ("pell", '{"n": 5, "label": 7}', _BAD_LABEL),
         ("pell", '{"n": "x", "label": 7}', "n: expected an integer or decimal string, got 'x'"),
         ("pell", '{"n": 5, "label": 7, "modulus": 4}', _BAD_LABEL),
+        ("analyze", '{"gram": 5, "type": "K3"}', "gram: expected a list of integer rows"),
+        ("analyze", '{"gram": [[2, 0], [0]], "type": "K3"}',
+         "gram: row 1 has length 1, expected 2"),
+        ("analyze", '{"gram": [[2]], "type": 7}', "type: expected a tag string"),
+        ("analyze", '{"gram": [[2]], "type": "K3", "bound": [4]}', "bound: expected an object"),
+        ("analyze", '{"gram": [[2]], "type": "K3", "bound": {"limit": 4}}',
+         "bound: unknown fields: limit"),
+        ("analyze", '{"gram": [[2, 0], [0, -2]], "type": "K3", "ample": [1]}',
+         "ample: expected length 2, got 1"),
+        ("analyze", '{"gram": [[2, 0], [0, -2]], "type": "K3"}',
+         "missing required field 'ample'"),
+        ("reduce", '{"gram": [[2, 0], [0, -2]], "type": "K3"}',
+         "missing required field 'vector'"),
+        ("alpha", '{"gram": [[2, 0], [0, -2]], "type": "K3[n]", "n": 2, "E": [0, 1]}',
+         "alpha needs both 'D' and 'E' fields"),
+        ("pell", '{"n": 5, "modulus": 4}', "'modulus' and 'residue' must be given together"),
+        ("pell", '{"n": 5, "index_cap": 4}', "'index_cap' needs 'modulus' and 'residue'"),
     ],
 )
 def test_document_reader_messages_in_order(tmp_path, capsys, subcommand, text, message):
@@ -735,14 +752,16 @@ def test_document_reader_messages_in_order(tmp_path, capsys, subcommand, text, m
 
 
 def test_one_ample_frame_per_document(tmp_path, capsys, monkeypatch):
+    # the frame's Smith split of the ample functional is the engine's only
+    # Smith form: enumeration, the witness and the chart share one
     calls = []
-    ample_frame = engine._ample_frame
+    snf = engine.smith_normal_form
 
-    def counted(lattice, ample):
-        calls.append(ample)
-        return ample_frame(lattice, ample)
+    def counted(m):
+        calls.append(m)
+        return snf(m)
 
-    monkeypatch.setattr(engine, "_ample_frame", counted)
+    monkeypatch.setattr(engine, "smith_normal_form", counted)
     engine._shell_frame.cache_clear()
     spec = parse_input(json.dumps(RANK3_DOC))
     engine.analyze(spec.lattice, spec.dtype, spec.ample, spec.bound)

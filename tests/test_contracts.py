@@ -149,7 +149,7 @@ def test_records_survive_pickle_and_copy():
     # come back equal and checked; _make skips the checks and builds the
     # invalid records below, which the round trip then refuses
     records = [
-        Lattice([[2, 1], [1, -2]], "dense"),
+        Lattice([[2, 1], [1, -2]]),
         EnumerationBound(),
         EnumerationBound(max_ample_pairing=3, wall_test_limit=9, pell_index_cap=5),
     ]
@@ -160,7 +160,7 @@ def test_records_survive_pickle_and_copy():
             assert type(twin) is type(record) and twin == record
     assert pickle.loads(pickle.dumps(records[0])).gram == ((2, 1), (1, -2))
     bad_bound = EnumerationBound._make((0, 8, 64))
-    bad_lattice = Lattice._make((((2, 1), (0, -2)), ""))
+    bad_lattice = Lattice._make((((2, 1), (0, -2)),))
     for bad, error in ((bad_bound, PreconditionError), (bad_lattice, InputFormatError)):
         for round_trip in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
             with pytest.raises(error):

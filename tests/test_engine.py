@@ -12,7 +12,6 @@ from ihscone import engine
 from ihscone.catalog import is_numerically_exceptional, parse_type, profile_table, profiles
 from ihscone.engine import (
     EnumerationBound,
-    _ample_wall_witness,
     _eliminate,
     _profile_classes,
     _shell_frame,
@@ -739,10 +738,11 @@ def test_one_walk_covers_every_level():
             assert _walk(*unit_elimination, det_p * s, unit, cols, range(4)) == expected
             images += len(expected)
     assert images > 5000
-    # rank 2: the level-0 walk alone gives the witness, and a bound below
-    # g leaves no level to walk
+    # rank 2: the level-0 walk alone gives the witness that analyze
+    # prints, and a bound below g leaves no level to walk
     lat = Lattice(((2, 0), (0, -2)))
-    assert _ample_wall_witness(lat, K3, (1, 0)) == (0, -1)
+    assert next(_profile_classes(_shell_frame(lat, K3, (1, 0)), (0,)), None) == (0, -1)
+    assert "profile-matching class (0, -1);" in analyze(lat, K3, (1, 0)).notes[0]
     assert _shell_frame(lat, K3, (2, 0)).g == 4
     assert enumerate_exceptional(lat, K3, (2, 0), EnumerationBound(max_ample_pairing=3)) == ()
 
@@ -870,7 +870,7 @@ def test_one_elimination_per_frame(monkeypatch, gram, dtype, bnd):
     found = enumerate_exceptional(lat, dtype, ample, EnumerationBound(max_ample_pairing=bnd))
     assert found and calls["_eliminate"] == 1
     frame = _shell_frame(lat, dtype, ample)  # the cached frame: no second elimination
-    assert calls["_eliminate"] == 1
+    assert calls["_eliminate"] == 1 and engine._shell_frame.cache_info().misses == 1
     assert calls["_walk"] == len(frame.div_table) < bnd // frame.g
 
 
@@ -1009,7 +1009,7 @@ def test_enumerate_matches_per_class_reference():
         assert sorted(expected) == list(range(bnd // frame.g + 1))
         for m, found in expected.items():
             assert list(_profile_classes(frame, (m,))) == found
-        witness = _ample_wall_witness(lat, t, ample)
+        witness = next(_profile_classes(frame, (0,)), None)
         assert witness == next(iter(expected[0]), None)
         witnesses += witness is not None
         got = enumerate_exceptional(lat, t, ample, EnumerationBound(max_ample_pairing=bnd))

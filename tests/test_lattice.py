@@ -120,6 +120,14 @@ def test_one_shot_iterators_are_checked_as_lists():
         Lattice([iter((True, 0)), iter((0, -2))])
     assert U.check_vector(x for x in (3, -1)) == (3, -1)
     assert Lattice([iter((2, 1)), iter((1, -2))]) == DENSE
+    # an error names the entries a one-shot iterator gave, not its repr
+    for form in (iter, lambda v: (x for x in v)):
+        with pytest.raises(InputFormatError) as info:
+            U.check_vector(form((True, 0)))
+        assert str(info.value) == "expected integer entries, got a boolean in (True, 0)"
+        with pytest.raises(InputFormatError) as info:
+            U.check_vector(form((1.5, 1)))
+        assert str(info.value) == "expected integer entries, got (1.5, 1)"
 
 
 @pytest.mark.parametrize(
@@ -138,6 +146,13 @@ def test_degenerate_gram_rejected_at_construction():
 def test_asymmetric_gram_rejected():
     with pytest.raises(InputFormatError):
         Lattice(((0, 1), (2, 0)))
+    for gram, message in [
+        ((), "gram matrix must have positive rank"),
+        (((2, 0), (0,)), "gram matrix is not square: row 1 has length 1, expected 2"),
+    ]:
+        with pytest.raises(InputFormatError) as info:
+            Lattice(gram)
+        assert str(info.value) == message
 
 
 def test_snf_frozen():

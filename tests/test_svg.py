@@ -9,8 +9,8 @@ from math import isqrt
 import pytest
 
 from ihscone.catalog import parse_type
-from ihscone.engine import EnumerationBound, analyze
-from ihscone.errors import IHSConeError, PreconditionError
+from ihscone.engine import ConeAnalysis, EnumerationBound, analyze
+from ihscone.errors import IHSConeError, PreconditionError, SignatureError
 from ihscone.svg import _ellipse_geometry, _ray_point, _wall_chord, render_section
 from tests.helpers import (
     congruate,
@@ -58,6 +58,24 @@ def test_rank2_is_rejected():
     with pytest.raises(PreconditionError) as exc:
         render_section(res)
     assert "section plots need rank 3, got rank 2" in str(exc.value)
+
+
+@pytest.mark.parametrize("diag, ample, error, message", [
+    ((2, 2, -2), (1, 0, 0), SignatureError, "expected signature (1, 2), got (2, 1)"),
+    ((2, -2, -2), (0, 1, 0), PreconditionError, "ample class must have positive norm, got -2"),
+])
+def test_hand_built_analysis_fails_as_analyze_does(diag, ample, error, message):
+    # the chart takes its frame through the entry check analyze uses, so a
+    # hand-built analysis with a wrong signature or a non-positive ample
+    # class gets the same input error, not a failed certified identity
+    from ihscone.lattice import Lattice
+
+    lat = Lattice(tuple(tuple(d if i == j else 0 for j in range(3)) for i, d in enumerate(diag)))
+    for call in (lambda: analyze(lat, K3, ample),
+                 lambda: render_section(ConeAnalysis(lat, K3, ample, EnumerationBound(), (), ()))):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
 
 
 def test_render_is_deterministic():
