@@ -42,7 +42,7 @@ from .pell import (
     second_solution,
     solution_with_residue,
 )
-from .svg import render_section
+from .svg import render_section, section_frame
 from .weyl import weyl_reduce
 
 SCHEMA_VERSION = "1"
@@ -422,8 +422,9 @@ def run_rank2(spec: InputSpec) -> dict:
 
 
 def run_plot_section(spec: InputSpec) -> str:
-    analysis = analyze(spec.lattice, spec.dtype, _require_ample(spec), spec.bound)
-    return render_section(analysis)
+    ample = _require_ample(spec)
+    section_frame(spec.lattice, spec.dtype, ample)  # a rank other than 3 fails before analyze
+    return render_section(analyze(spec.lattice, spec.dtype, ample, spec.bound))
 
 
 def _emit(text: str, output: Optional[str]) -> None:

@@ -11,18 +11,18 @@ ellipsoid; `_eliminate` reduces it by fraction-free integer elimination and
 output order is fixed because the ample-wall witness printed in reports is
 the first class it meets. The integer data a shell point needs to become a
 class (the Smith split along the ample class, the profile table) and the
-elimination itself are built once per analysis in a `_ShellFrame`:
-every pairing level and profile square scales the frame's elimination
-(k + 1 integers) instead of eliminating again, and one walk per profile
-square covers every level, so a level without a point costs a comparison
-or, at rank 2, one isqrt. The walk carries each point's class down the
+elimination itself are built once per analysis in a `_ShellFrame`: every
+pairing level and profile square scales the frame's elimination (k + 1
+integers) instead of eliminating again, and one walk per profile square
+covers every level. No level starts empty: its corner is m^2 |det G| -
+det(p) square > 0 (`_profile_classes`), and at rank 2 a level without a
+point costs one isqrt. The walk carries each point's class down the
 recursion, so a point costs one vector step and one gcd; the divisibility
-gcd(G v) is computed only for a primitive point of a square whose test
-can reject it, which the Gram content decides once per frame. Where the
-form splits into orthogonal blocks, as on a diagonal Picard lattice, the
-walk lists the points of each lower block once per remaining radius and
-level and reuses them for every prefix above it (`_walk`), in the same
-order.
+gcd(G v) is computed only for a primitive point of a square whose test can
+reject it, which the Gram content decides once per frame. Where the form
+splits into orthogonal blocks, as on a diagonal Picard lattice, the walk
+lists the points of each lower block once per remaining radius and level
+and reuses them for every prefix above it (`_walk`), in the same order.
 
 Building the frame also decides the signature: q(a) > 0 for the ample
 class a splits Q^n = Qa + a^perp orthogonally, so the signature is
@@ -185,10 +185,11 @@ def _walk(levels, border_unit, rem_unit, shift, unit, cols, ms) -> list[tuple[in
     (`_profile_classes`): (levels, m border_unit, m^2 rem_unit - shift),
     with images m unit + sum_i z_i cols[i]. The closures are built once and
     the levels are walked in the order of ms. A level whose rem is negative
-    has no points and costs one comparison; at k = 1 a level costs one
-    isqrt unless it has a root, so only a level with points scales its
-    border and base. With ms = (1,) and shift = 0 this is the walk of
-    `_eliminate`'s output itself.
+    has no points and is skipped; a frame's levels never are
+    (`_profile_classes`), but an arbitrary shell's can be. At k = 1 a level
+    costs one isqrt unless it has a root, so only a level with points
+    scales its border and base. With ms = (1,) and shift = 0 this is the
+    walk of `_eliminate`'s output itself.
 
     On the shell Q_0 = 0 each rem_i = -Q_i is a nonnegative integer, so once
     z_{i+1}, ..., z_{k-1} are fixed, (a_i z_i + L_i)^2 <= prev_i rem_{i+1}
@@ -400,9 +401,12 @@ def _profile_classes(frame: _ShellFrame, ms):
         rem = -(last corner) = m^2 (det(p) c_unit + b_unit^T adj(p) b_unit)
               - det(p) square = m^2 rem_unit - det(p) square,
 
-    where det(p) is the last pivot a_{k-1} (1 when k = 0). A level
-    therefore starts from k + 1 integers, and the point order and every
-    integer are those of a walk after `_eliminate(p, m b_unit, m^2 c_unit - square)`;
+    where det(p) is the last pivot a_{k-1} (1 when k = 0). In the basis
+    [x_unit | K], G is [[c_unit, b_unit^T], [b_unit, -p]], of determinant
+    (-1)^k rem_unit, the sign of det G at signature (1, k): rem_unit = |det G|,
+    so with every square negative no level starts empty. A level therefore
+    starts from k + 1 integers, and the point order and every integer are
+    those of a walk after `_eliminate(p, m b_unit, m^2 c_unit - square)`;
     so one `_walk` per square covers every level, in the order of ms.
 
     Squares are visited in ascending order, each over every level, and
@@ -433,15 +437,16 @@ def enumerate_exceptional(
     Complete within the bound: for each attainable pairing value p the affine
     set {v : pairing(v, ample) = p} is a translated sublattice on which the
     form is negative definite, so the profile equation norm(v) = square cuts
-    out the shell of an ellipsoid. `_walk` lists exactly its integer
-    points from a fraction-free integer elimination; no point inside the
-    shell is visited. The integer data of the split and its elimination
-    (`_ShellFrame`) are built once, each level m = p // g scales them, and
-    one walk per profile square covers every level, so a shell point costs
-    one vector step and a level without one costs a comparison or an
-    isqrt. Output is sorted lexicographically; canonical sign (positive
-    ample-pairing) is automatic, and no class repeats: [x_unit | K] is
-    unimodular, so v = m x_unit + K z is injective, and squares differ.
+    out the shell of an ellipsoid. `_walk` lists exactly its integer points
+    from a fraction-free integer elimination; no point inside the shell is
+    visited. The integer data of the split and its elimination (`_ShellFrame`)
+    are built once, each level m = p // g scales them, and one walk per
+    profile square covers every level, so a shell point costs one vector step;
+    no level starts empty (`_profile_classes`), and at rank 2 a level without
+    a point costs one isqrt. Output is sorted lexicographically; canonical
+    sign (positive ample-pairing) is automatic, and no class repeats: [x_unit
+    | K] is unimodular, so v = m x_unit + K z is injective, and squares
+    differ.
     """
     bound = bound or EnumerationBound()
     frame = _analysis_frame(lattice, t, ample)

@@ -106,9 +106,8 @@ def second_solution(fund: PellSolution) -> PellSolution:
     Its x is 1 mod 2N and its y is even, which is what the effective-class
     construction needs for the discriminant-class congruences.
     """
-    n = fund.n_param
-    s = PellSolution(fund.x * fund.x + n * fund.y * fund.y, 2 * fund.x * fund.y, n)
-    if s.x - 1 != 2 * n * fund.y * fund.y:
+    s = next_solution(fund, fund)
+    if s.x - 1 != 2 * fund.n_param * fund.y * fund.y:
         raise ContractViolationError("second Pell solution violates x2 - 1 = 2*N*y1^2")
     if s.y % 2 != 0:
         raise ContractViolationError("second Pell solution has odd y")

@@ -95,15 +95,21 @@ def _ray_point(p, qa: int, ray, w0: int, w1: int, w2: int):
     return -qa * (p11 * w1 - p01 * w2) / den, -qa * (p00 * w2 - p10 * w1) / den
 
 
-def render_section(analysis: ConeAnalysis) -> str:
-    """Deterministic SVG for a rank-3 analysis."""
-    lattice = analysis.lattice
+def section_frame(lattice, t, ample):
+    """The chart's shell frame: `_analysis_frame`'s entry check, then rank 3.
+    `cli` runs it before `analyze`, so another rank enumerates no class."""
+    frame = _analysis_frame(lattice, t, ample)
     if lattice.rank != 3:
         raise PreconditionError(
             f"section plots need rank 3, got rank {lattice.rank}; use analyze for reports"
         )
-    ample = analysis.ample
-    frame = _analysis_frame(lattice, analysis.type, ample)
+    return frame
+
+
+def render_section(analysis: ConeAnalysis) -> str:
+    """Deterministic SVG for a rank-3 analysis."""
+    lattice, ample = analysis.lattice, analysis.ample
+    frame = section_frame(lattice, analysis.type, ample)
     qa = norm(lattice, ample)
     p = frame.p_matrix
     lines = [

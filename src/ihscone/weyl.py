@@ -19,53 +19,48 @@ from .errors import (
     NonIntegralReflectionError,
     PreconditionError,
 )
-from .lattice import Lattice, Vec, gram_vec, mat_vec, norm, pairing
+from .lattice import Lattice, Vec, mat_vec, norm
 
 
-class Reflection(namedtuple("Reflection", "root root_norm")):
-    __slots__ = ()
-
-    @staticmethod
-    def of(L: Lattice, root: Sequence[int]) -> "Reflection":
-        r = L.check_vector(root)
-        return Reflection(r, _checked_root_norm(norm(L, r)))
-
-
-def _checked_root_norm(q: int) -> int:
+def _root_image(L: Lattice, r: Vec) -> tuple[Vec, int]:
+    """G r and norm(r) for a checked vector r, which must have negative norm."""
+    gr = mat_vec(L.gram, r)
+    q = sum(map(mul, r, gr))
     if q == 0:
         raise PreconditionError("reflection root must not be isotropic")
     if q > 0:
         raise PreconditionError("reflection root must have negative norm, got %d" % q)
-    return q
+    return gr, q
+
+
+def _reflected(v: Vec, r: Vec, num: int, q: int) -> Vec:
+    """v - c r for c = num / q, num = 2*pairing(r, v) and q = norm(r), checked integral."""
+    c, off = divmod(num, q)
+    if off:
+        raise NonIntegralReflectionError(
+            "2*pairing(root, v) = %d is not divisible by norm(root) = %d" % (num, q)
+        )
+    return tuple([x - c * y for x, y in zip(v, r)])
 
 
 def reflect(L: Lattice, root: Sequence[int], v: Sequence[int]) -> Vec:
     """v - (2*pairing(root, v)/norm(root)) * root, checked integral."""
-    ref = Reflection.of(L, root)
+    r = L.check_vector(root)
+    gr, q = _root_image(L, r)
     w = L.check_vector(v)
-    c = _reflection_coefficient(2 * pairing(L, ref.root, w), ref.root_norm)
-    return tuple(w[i] - c * ref.root[i] for i in range(L.rank))
-
-
-def _reflection_coefficient(num: int, root_norm: int) -> int:
-    """num / root_norm for num = 2*pairing(root, v), checked integral."""
-    c, off = divmod(num, root_norm)
-    if off:
-        raise NonIntegralReflectionError(
-            "2*pairing(root, v) = %d is not divisible by norm(root) = %d" % (num, root_norm)
-        )
-    return c
+    return _reflected(w, r, 2 * sum(map(mul, gr, w)), q)
 
 
 def reflection_is_integral(L: Lattice, root: Sequence[int]) -> bool:
     """True iff the reflection in root maps the whole lattice into itself,
-    i.e. norm(root) divides 2*pairing(root, b) for every basis vector b.
+    i.e. norm(root) divides 2*pairing(root, b) for every basis vector b:
+    it divides 2 gcd(G root).
 
     Roots matching a catalog profile always pass (their norm divides
     twice their divisibility).
     """
-    ref = Reflection.of(L, root)
-    return all(2 * x % ref.root_norm == 0 for x in gram_vec(L, ref.root))
+    gr, q = _root_image(L, L.check_vector(root))
+    return 2 * gcd(*gr) % q == 0
 
 
 # word holds the roots in the order applied
@@ -81,12 +76,11 @@ def weyl_reduce(
     index.  The recorded word, applied right-to-left to the
     representative, reconstructs the input.
 
-    Each root is checked once, before any step: check_vector, norm(r) < 0
-    and the integrality precondition (norm(r) divides every entry of 2 G r,
-    i.e. 2 gcd(G r), the test of `reflection_is_integral`). Nothing from
-    that pass is kept. A step pairs every root with G cur, one Gram image
-    per step instead of one per root, and the reflection computes the
-    pivot's norm, as `reflect` would.  max_steps must be a nonnegative
+    Each root is checked once, before any step: check_vector, then
+    `_root_image` (norm(r) < 0) and the test of `reflection_is_integral`.
+    Nothing from that pass is kept. A step pairs every root with G cur, one
+    Gram image per step instead of one per root, and `_reflected`, the step
+    of `reflect`, moves cur by the pivot.  max_steps must be a nonnegative
     integer.
 
     Termination: let every root pair positively with an ample class a and
@@ -102,8 +96,7 @@ def weyl_reduce(
         raise PreconditionError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     rs = [L.check_vector(r) for r in roots]
     for i, r in enumerate(rs):
-        gr = mat_vec(L.gram, r)
-        q = _checked_root_norm(sum(map(mul, r, gr)))
+        gr, q = _root_image(L, r)
         if 2 * gcd(*gr) % q:
             raise PreconditionError("root %d does not define an integral reflection" % i)
     cur = L.check_vector(v)
@@ -113,23 +106,20 @@ def weyl_reduce(
             % norm(L, cur)
         )
     word: list[Vec] = []
-    steps = 0
     while True:
         gcur = mat_vec(L.gram, cur)
         pairings = [sum(map(mul, r, gcur)) for r in rs]
         worst_val = min(pairings, default=0)
         if worst_val >= 0:
-            return ChamberReduction(cur, tuple(word), steps)
-        if steps >= max_steps:
+            return ChamberReduction(cur, tuple(word), len(word))
+        if len(word) >= max_steps:
             raise BoundExceededError(
                 "chamber reduction did not terminate within %d steps" % max_steps
             )
         # list.index takes the lowest index among ties
         r = rs[pairings.index(worst_val)]
-        c = _reflection_coefficient(2 * worst_val, norm(L, r))
-        cur = tuple(x - c * y for x, y in zip(cur, r))
+        cur = _reflected(cur, r, 2 * worst_val, norm(L, r))
         word.append(r)
-        steps += 1
 
 
 def is_chamber_wall(incidence: Sequence[int], i: int) -> bool:

@@ -472,6 +472,36 @@ def test_plot_section_outside_the_float_range(tmp_path, capsys, digits, detail):
     assert error["message"].startswith(f"section chart is outside the drawable range ({detail})")
 
 
+def _diag_doc(rank):
+    gram = [[(2 if i == 0 else -2) if i == j else 0 for j in range(rank)] for i in range(rank)]
+    return dict(RANK3_DOC, gram=gram, ample=[1] + [0] * (rank - 1))
+
+
+def test_plot_section_refuses_other_ranks_before_analysis(tmp_path, capsys, monkeypatch):
+    # the rank check runs right after the entry check: a rank-10 document
+    # is refused with the section message (it used to reach the wall-test
+    # rank cap, exit 4), and a rank-4 one enumerates no class
+    calls = []
+    reference = engine.enumerate_exceptional
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return reference(*args, **kwargs)
+
+    for module in (engine, cli):
+        monkeypatch.setattr(module, "enumerate_exceptional", counted)
+    for rank in (10, 4):
+        code, out, err = _run(capsys, ["plot-section", "--input", _write(tmp_path, _diag_doc(rank))])
+        assert (code, out) == (3, "")
+        error = _error_doc(err)
+        assert error["kind"] == "PreconditionError"
+        assert error["message"].startswith(f"section plots need rank 3, got rank {rank};")
+    assert calls == []
+    # the counter sees the enumeration that analyze runs
+    code, _, _ = _run(capsys, ["analyze", "--input", _write(tmp_path, _diag_doc(4))])
+    assert code == 0 and len(calls) == 1
+
+
 # ------------------------------------------------------- exit codes, errors
 
 

@@ -44,6 +44,7 @@ from tests.helpers import (
     fm_is_wall,
     inverse,
     rand_unimodular,
+    rand_diag_gram,
     rank_is_wall,
     reference_profile_levels,
     reference_rank2_rays,
@@ -745,6 +746,33 @@ def test_one_walk_covers_every_level():
     assert "profile-matching class (0, -1);" in analyze(lat, K3, (1, 0)).notes[0]
     assert _shell_frame(lat, K3, (2, 0)).g == 4
     assert enumerate_exceptional(lat, K3, (2, 0), EnumerationBound(max_ample_pairing=3)) == ()
+
+
+def test_frame_corner_is_the_gram_determinant():
+    # in the unimodular basis [x_unit | K] the Gram matrix is
+    # [[c_unit, b_unit^T], [b_unit, -p]], of determinant (-1)^k rem_unit, and
+    # det G has the sign (-1)^k of signature (1, k); so rem_unit = |det G|,
+    # and since every profile square s is negative, every level's corner
+    # m^2 |det G| - det(p) s is positive: no frame level starts empty
+    rng = random.Random(2626)
+    frames = 0
+    for t in TYPES:
+        for rank in range(2, 9):
+            for _ in range(4):
+                base = Lattice(rand_diag_gram(rng, rank))
+                while True:
+                    ample0 = (rng.randint(1, 3),) + tuple(rng.randint(-1, 1)
+                                                          for _ in range(rank - 1))
+                    if norm(base, ample0) > 0:
+                        break
+                lat, (ample,) = transported(rng, base, [ample0])
+                frame = _shell_frame(lat, t, ample)
+                assert frame.rem_unit == abs(det_int(lat.gram)), (lat, ample)
+                det_p = frame.levels[-1][0]
+                assert all(square < 0 and frame.rem_unit - det_p * square > 0
+                           for square, _ in frame.div_table)
+                frames += 1
+    assert frames == 5 * 7 * 4
 
 
 def test_frame_rejects_a_kernel_form_that_is_not_positive_definite():

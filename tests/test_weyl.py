@@ -13,7 +13,6 @@ from ihscone.errors import (
 from ihscone.lattice import Lattice, det_int, gram_vec, norm, pairing
 from ihscone.polyhedra import dd_generators
 from ihscone.weyl import (
-    Reflection,
     is_chamber_wall,
     reflect,
     reflection_is_integral,
@@ -61,10 +60,13 @@ def test_reflect_negates_root():
 
 
 def test_reflection_root_validation():
-    with pytest.raises(PreconditionError):
-        Reflection.of(Lattice(((2, 1), (1, 0))), (0, 1))  # isotropic
-    with pytest.raises(PreconditionError):
-        Reflection.of(DIAG, (1, 0))  # positive norm
+    isotropic = (Lattice(((2, 1), (1, 0))), (0, 1), "must not be isotropic")
+    positive = (DIAG, (1, 0), "must have negative norm, got 2")
+    for lat, root, message in (isotropic, positive):
+        with pytest.raises(PreconditionError, match=message):
+            reflect(lat, root, (1, 1))
+        with pytest.raises(PreconditionError, match=message):
+            reflection_is_integral(lat, root)
 
 
 def test_reflection_is_integral_frozen():
