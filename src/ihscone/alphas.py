@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
-from .catalog import DeformationType, Kind, expected_disc_group, matches_profile
+from .catalog import DeformationType, expected_disc_group, matches_profile
 from .errors import ContractViolationError, PreconditionError
 from .lattice import Lattice, Vec, divisibility, disc_class, is_primitive, norm, pairing
 from .pell import PellSolution, fundamental_solution, is_perfect_square, second_solution
@@ -115,9 +115,9 @@ def _pell_alpha(ctx: AlphaContext, sol: PellSolution) -> Vec:
 def alpha_effective(ctx: AlphaContext, t: DeformationType) -> AlphaResult:
     """Certified negative-norm alpha matching E's exceptional profile.
 
-    The Pell solution index depends on the type: the Hilbert-scheme and
-    Kummer families need the second solution (x = 1 mod 2N makes the
-    discriminant classes work out); the O'Grady types and K3 use the
+    The Pell solution index depends on the type: the families in n
+    (Hilbert scheme, Kummer) need the second solution (x = 1 mod 2N makes
+    the discriminant classes work out); the O'Grady types and K3 use the
     fundamental one.  Primitivity and divisibility of the result are
     verified outright and a failure raises a contract violation; the
     discriminant-class relation disc(alpha) = -disc(E) is reported via
@@ -139,7 +139,7 @@ def alpha_effective(ctx: AlphaContext, t: DeformationType) -> AlphaResult:
         raise PreconditionError(
             "N = %d is a perfect square; alpha_case_b handles that branch" % ctx.N
         )
-    if t.kind in (Kind.K3N, Kind.KUMN):
+    if t.n is not None:
         sol = second_solution(fundamental_solution(ctx.N))
         # theorem: t | N, so x2 = 1 + 2*N*y1^2 = 1 mod the disc group's order
         (modulus,) = expected_disc_group(t)

@@ -1,10 +1,12 @@
 """Catalog of the known deformation types and their wall-divisor data.
 
-Each type carries the finite list of (square, divisibility) profiles
-that characterize numerically exceptional classes, plus the expected
-discriminant group of the full cohomology lattice.  K3 surfaces are the
-degenerate n=1 member of the Hilbert-scheme family and get their own
-entry with the classical profile (-2, 1).
+One row per type holds its facts: the (square, divisibilities) profiles
+of numerically exceptional classes, squares ascending, which
+`profile_table` gives `engine` and `matches_profile`; then the invariant
+factors of the full lattice's discriminant group, which
+`expected_disc_group` gives `cli` and `alphas`.  K3, OG6 and OG10 have
+fixed rows, and K3[n] and Kum[n] one formula in m = n - 1 and m = n + 1.
+K3 is the degenerate n=1 Hilbert-scheme member, with its classical (-2, 1).
 
 Sign convention: for the generalized-Kummer family the square of the
 wall divisor is taken as -2(n+1) (the value the cone computations use;
@@ -30,22 +32,30 @@ class Kind(Enum):
     OG10 = "OG10"
 
 
-_NEEDS_N = (Kind.K3N, Kind.KUMN)
+# Rows are written out, not derived from `profiles`, so no reader rebuilds
+# one; a family row is (((-2m, (m, 2m)),), (2m,)) for m = n + its shift.
+_FIXED = {
+    Kind.K3: (((-2, (1,)),), ()),
+    Kind.OG6: (((-4, (2,)), (-2, (2,))), (2, 2)),
+    Kind.OG10: (((-6, (3,)), (-2, (1,))), (3,)),
+}
+_FAMILY_SHIFT = {Kind.K3N: -1, Kind.KUMN: 1}
 
 
 class DeformationType(namedtuple("DeformationType", "kind n")):
     __slots__ = ()
 
     def __new__(cls, kind: Kind, n: Optional[int] = None) -> DeformationType:
-        if kind in _NEEDS_N:
-            if n is None or n < 2:
+        if not isinstance(kind, Kind):
+            raise InputFormatError("deformation type %r is not a Kind" % (kind,))
+        if kind in _FAMILY_SHIFT:
+            # a float would pass n >= 2 and reach the row formula
+            if type(n) is not int or n < 2:
                 raise InputFormatError(
-                    "type %s requires the parameter n >= 2" % kind.value
+                    "type %s requires an integer parameter n >= 2, got %r" % (kind.value, n)
                 )
         elif n is not None:
-            raise InputFormatError(
-                "type %s does not take a parameter n" % kind.value
-            )
+            raise InputFormatError("type %s does not take a parameter n" % kind.value)
         return super().__new__(cls, kind, n)
 
     @property
@@ -73,41 +83,29 @@ def parse_type(tag: str, n: Optional[int] = None) -> DeformationType:
     )
 
 
-def profiles(t: DeformationType) -> tuple[ExceptionalProfile, ...]:
-    """The (square, divisibility) profiles of numerically exceptional
-    classes for the given deformation type."""
-    if t.kind is Kind.K3:
-        return (ExceptionalProfile(-2, 1),)
-    if t.kind is Kind.OG10:
-        return (ExceptionalProfile(-2, 1), ExceptionalProfile(-6, 3))
-    if t.kind is Kind.OG6:
-        return (ExceptionalProfile(-2, 2), ExceptionalProfile(-4, 2))
-    if t.kind is Kind.K3N:
-        m = t.n - 1
-        return (ExceptionalProfile(-2 * m, m), ExceptionalProfile(-2 * m, 2 * m))
-    m = t.n + 1
-    return (ExceptionalProfile(-2 * m, m), ExceptionalProfile(-2 * m, 2 * m))
-
-
-def expected_disc_group(t: DeformationType) -> tuple[int, ...]:
-    """Invariant factors of the discriminant group of the full lattice."""
-    if t.kind is Kind.K3:
-        return ()
-    if t.kind is Kind.OG10:
-        return (3,)
-    if t.kind is Kind.OG6:
-        return (2, 2)
-    if t.kind is Kind.K3N:
-        return (2 * (t.n - 1),)
-    return (2 * (t.n + 1),)
+def _row(t: DeformationType) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], tuple[int, ...]]:
+    if t.n is None:
+        return _FIXED[t.kind]
+    m = t.n + _FAMILY_SHIFT[t.kind]
+    return ((-2 * m, (m, 2 * m)),), (2 * m,)
 
 
 def profile_table(t: DeformationType) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """Profiles of t as (square, sorted divisibilities), squares ascending."""
-    table: dict[int, set[int]] = {}
-    for p in profiles(t):
-        table.setdefault(p.square, set()).add(p.div)
-    return tuple((square, tuple(sorted(divs))) for square, divs in sorted(table.items()))
+    return _row(t)[0]
+
+
+def expected_disc_group(t: DeformationType) -> tuple[int, ...]:
+    """Invariant factors of the discriminant group of the full lattice."""
+    return _row(t)[1]
+
+
+def profiles(t: DeformationType) -> tuple[ExceptionalProfile, ...]:
+    """The (square, divisibility) profiles of numerically exceptional
+    classes for the given deformation type: squares descending, then
+    divisibilities ascending."""
+    rows = reversed(profile_table(t))
+    return tuple(ExceptionalProfile(square, div) for square, divs in rows for div in divs)
 
 
 def div_matches(div_value: int, allowed: Sequence[int]) -> bool:

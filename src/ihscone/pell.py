@@ -31,6 +31,9 @@ class PellSolution(namedtuple("PellSolution", "x y n_param")):
     __slots__ = ()
 
     def __new__(cls, x: int, y: int, n_param: int) -> PellSolution:
+        # one type test each: a residue search builds one solution per index
+        if type(x) is not int or type(y) is not int or type(n_param) is not int:
+            raise PreconditionError("a Pell solution takes integers, got %r" % ((x, y, n_param),))
         if x * x - n_param * y * y != 1:
             raise PreconditionError(
                 "(%d, %d) does not solve x^2 - %d*y^2 = 1" % (x, y, n_param)
@@ -47,6 +50,8 @@ def is_perfect_square(n: int):
 
 
 def _check_param(n: int) -> None:
+    if type(n) is not int:
+        raise PreconditionError("Pell parameter must be an integer, got %r" % (n,))
     if n < 2:
         raise PellRangeError("Pell parameter must be at least 2, got %d" % n)
     if is_perfect_square(n) is not None:
@@ -119,6 +124,10 @@ def solution_with_residue(
 ) -> PellSolution:
     """First solution (by index, from the fundamental one) whose x is
     residue_x mod modulus."""
+    if not isinstance(fund, PellSolution):
+        raise PreconditionError("expected a PellSolution, got %r" % (fund,))
+    if type(modulus) is not int or type(residue_x) is not int or type(index_cap) is not int:
+        raise PreconditionError("modulus, residue and index cap must be integers")
     if modulus < 1:
         raise PreconditionError("modulus must be positive")
     s = fund

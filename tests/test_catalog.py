@@ -1,6 +1,9 @@
 """Deformation-type catalog: tags, profiles, discriminant expectations,
 and the numerically-exceptional test."""
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -208,3 +211,29 @@ def test_deformation_type_direct_construction_guard():
         DeformationType(Kind.K3N)
     with pytest.raises(InputFormatError):
         DeformationType(Kind.OG6, 3)
+
+
+def test_deformation_type_refuses_what_the_table_cannot_read():
+    # unrefused, a float n yields float profiles or a TypeError in the shell
+    # search, and a tag string a TypeError in profiles
+    for kind, n in ((Kind.KUMN, 3.0), (Kind.K3N, 2.5), (Kind.K3N, True), (Kind.K3N, "3")):
+        with pytest.raises(InputFormatError):
+            DeformationType(kind, n)
+    for kind in ("K3", "K3[n]", None):
+        with pytest.raises(InputFormatError):
+            DeformationType(kind)
+
+
+def test_benchmark_profile_copy_matches_the_catalog(monkeypatch):
+    # bench/check.py checks reports against its own copy of the profiles;
+    # a catalog change that misses it would otherwise fail only there
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_check", bench / "check.py")
+    check = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_check", check)
+    spec.loader.exec_module(check)
+    types = [DeformationType(kind) for kind in (Kind.K3, Kind.OG6, Kind.OG10)]
+    types += [DeformationType(kind, n) for kind in (Kind.K3N, Kind.KUMN) for n in range(2, 41)]
+    for t in types:
+        assert check.profiles(t.tag, t.n) == tuple(map(tuple, profiles(t))), t

@@ -195,3 +195,20 @@ def test_solution_with_residue_cap():
 def test_solution_with_residue_rejects_bad_modulus():
     with pytest.raises(PreconditionError):
         solution_with_residue(fundamental_solution(3), 0, 1)
+
+
+def test_pell_functions_take_integers_only():
+    # unrefused, a float or bool passes the equation check, and a float
+    # reaches math.isqrt or range as a TypeError
+    for args in ((3.0, 2.0, 2), (3, 2, 2.0), (True, 0, 2), ("3", 2, 2)):
+        with pytest.raises(PreconditionError):
+            PellSolution(*args)
+    for n in (7.0, True, "7"):
+        with pytest.raises(PreconditionError):
+            fundamental_solution(n)
+    f = fundamental_solution(3)
+    for modulus, residue, cap in ((5, 2, 2.5), (5, 2, True), (5.0, 2, 4), (5, "2", 4)):
+        with pytest.raises(PreconditionError):
+            solution_with_residue(f, modulus, residue, index_cap=cap)
+    with pytest.raises(PreconditionError):
+        solution_with_residue((2, 1, 3), 5, 2)
