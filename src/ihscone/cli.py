@@ -3,6 +3,12 @@
 One JSON document in, one deterministic JSON report (or SVG) out. All
 integers in reports are decimal strings so consumers never lose precision;
 inputs accept plain JSON integers or the same string form.
+
+One writer, `_write`, makes the compact report text, keys sorted. A list
+of equal-length integer rows, which every class, wall and root list is,
+takes one `%` call on a repeated `["%d",...]` row template; a list of
+integers takes one join. `--format pretty` re-indents the compact text
+with json.dumps, so both formats come from the one writer.
 """
 from __future__ import annotations
 
@@ -12,6 +18,8 @@ import re
 import sys
 from collections import namedtuple
 from functools import cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional, Sequence
 
 from .alphas import (
@@ -123,33 +131,6 @@ def _as_vector(value: Any, where: str, length: Optional[int] = None) -> Vec:
     return vec
 
 
-def _stringify(obj: Any) -> Any:
-    """Integers to decimal strings, recursively; booleans stay booleans.
-
-    An integer with more decimal digits than the interpreter converts
-    (sys.get_int_max_str_digits()) raises BoundExceededError.
-    """
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int):
-        try:
-            return str(obj)
-        except ValueError as exc:
-            raise BoundExceededError(
-                _digit_limit_message(f"a {obj.bit_length()}-bit integer in the report")
-            ) from exc
-    if isinstance(obj, (list, tuple)):
-        # plain ints, the bulk of a report, skip the recursive call; one
-        # over the digit limit makes str raise, and the slow path names it
-        try:
-            return [str(x) if type(x) is int else _stringify(x) for x in obj]
-        except ValueError:
-            return [_stringify(x) for x in obj]
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
-    return obj
-
-
 InputSpec = namedtuple(
     "InputSpec",
     "lattice dtype ample bound label vector d_class e_class",
@@ -171,7 +152,10 @@ def parse_input(text: str) -> InputSpec:
     for i, row in enumerate(raw):
         if len(row) != n_rank:
             raise InputFormatError(f"gram: row {i} has length {len(row)}, expected {n_rank}")
-        rows.append(tuple(_as_int(x, f"gram[{i}][{j}]") for j, x in enumerate(row)))
+        if set(map(type, row)) == {int}:
+            rows.append(tuple(row))
+        else:
+            rows.append(tuple(_as_int(x, f"gram[{i}][{j}]") for j, x in enumerate(row)))
 
     tag = doc["type"]
     if not isinstance(tag, str):
@@ -435,11 +419,76 @@ def _emit(text: str, output: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _rows_template(rows: int, width: int) -> str:
+    """The compact text of `rows` rows of `width` integers, a %d for each."""
+    row = '["' + '","'.join(["%d"] * width) + '"]'
+    return "[" + ",".join([row] * rows) + "]"
+
+
+def _write(obj: Any, out: list[str]) -> None:
+    """Append the compact JSON text of obj to out: keys sorted, every int a
+    quoted decimal string, bool and None JSON literals, str quoted as
+    json.dumps quotes it with ensure_ascii.
+
+    A list or tuple of exact ints is written with one join, one of
+    equal-length rows of exact ints with one `%` on `_rows_template`; the
+    type tests are exact, so a bool never takes either. An integer over the
+    interpreter's digit limit makes str and %d raise ValueError; the list
+    is then written element by element, which raises BoundExceededError
+    naming the first such integer in key order. Any other type, floats
+    included, raises TypeError as json.dumps does.
+    """
+    if isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
+        try:
+            if kinds == {int}:
+                out.append('["%s"]' % '","'.join(map(str, obj)))
+                return
+            if kinds and kinds <= {list, tuple} and len(set(map(len, obj))) == 1:
+                flat = tuple(chain.from_iterable(obj))
+                if set(map(type, flat)) == {int}:
+                    out.append(_rows_template(len(obj), len(obj[0])) % flat)
+                    return
+        except ValueError:
+            pass
+        out.append("[")
+        for i, x in enumerate(obj):
+            if i:
+                out.append(",")
+            _write(x, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(("," if i else "") + encode_basestring_ascii(key) + ":")
+            _write(obj[key], out)
+        out.append("}")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True or obj is False:
+        out.append("true" if obj else "false")
+    elif isinstance(obj, int):
+        try:
+            out.append('"%s"' % obj)
+        except ValueError as exc:
+            raise BoundExceededError(
+                _digit_limit_message(f"a {obj.bit_length()}-bit integer in the report")
+            ) from exc
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _render_json(report: dict, fmt: str) -> str:
-    payload = _stringify(report)
+    out: list[str] = []
+    _write(report, out)
+    text = "".join(out)
     if fmt == "pretty":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    return text + "\n"
 
 
 # one flag of a subcommand: the keywords of its argparse store action

@@ -43,8 +43,8 @@ class PellSolution(namedtuple("PellSolution", "x y n_param")):
 
 def is_perfect_square(n: int):
     """Exact square root of n if n is a perfect square, else None."""
-    if n < 0:
-        raise PreconditionError("is_perfect_square expects a nonnegative integer")
+    if type(n) is not int or n < 0:
+        raise PreconditionError("is_perfect_square expects a nonnegative integer, got %r" % (n,))
     r = math.isqrt(n)
     return r if r * r == n else None
 
@@ -97,6 +97,8 @@ def fundamental_solution(n: int) -> PellSolution:
 
 def next_solution(s: PellSolution, fund: PellSolution) -> PellSolution:
     """Compose a solution with the fundamental one (index + 1)."""
+    if not isinstance(s, PellSolution) or not isinstance(fund, PellSolution):
+        raise PreconditionError("expected PellSolutions, got %r and %r" % (s, fund))
     if s.n_param != fund.n_param:
         raise PreconditionError(
             "solutions of different equations: N=%d vs N=%d" % (s.n_param, fund.n_param)
@@ -111,6 +113,8 @@ def second_solution(fund: PellSolution) -> PellSolution:
     Its x is 1 mod 2N and its y is even, which is what the effective-class
     construction needs for the discriminant-class congruences.
     """
+    if not isinstance(fund, PellSolution):
+        raise PreconditionError("expected a PellSolution, got %r" % (fund,))
     s = next_solution(fund, fund)
     if s.x - 1 != 2 * fund.n_param * fund.y * fund.y:
         raise ContractViolationError("second Pell solution violates x2 - 1 = 2*N*y1^2")

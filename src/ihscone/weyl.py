@@ -10,8 +10,9 @@ incidence, which root hyperplanes actually support facets of it.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import add, mod, mul
 from typing import Sequence
 
 from .errors import (
@@ -63,6 +64,17 @@ def reflection_is_integral(L: Lattice, root: Sequence[int]) -> bool:
     return 2 * gcd(*gr) % q == 0
 
 
+def _column_sum(coeffs: Sequence[int], cols: Sequence[Sequence[int]], size: int) -> list[int]:
+    """sum_k coeffs[k] * cols[k] entry by entry, zero coefficients skipped;
+    size zeros when every coefficient is 0."""
+    acc = None
+    for a, col in zip(coeffs, cols):
+        if a:
+            term = map(mul, repeat(a), col)
+            acc = list(term) if acc is None else list(map(add, acc, term))
+    return [0] * size if acc is None else acc
+
+
 # word holds the roots in the order applied
 ChamberReduction = namedtuple("ChamberReduction", "representative word steps")
 
@@ -77,11 +89,15 @@ def weyl_reduce(
     representative, reconstructs the input.
 
     Each root is checked once, before any step: check_vector, then
-    `_root_image` (norm(r) < 0) and the test of `reflection_is_integral`.
-    Nothing from that pass is kept. A step pairs every root with G cur, one
-    Gram image per step instead of one per root, and `_reflected`, the step
-    of `reflect`, moves cur by the pivot.  max_steps must be a nonnegative
-    integer.
+    `_root_image` (norm(r) < 0) and the test of `reflection_is_integral`,
+    all on the roots' coordinate columns: the Gram-image columns
+    sum_k G[c][k] * col_k give every root's norm and, by gcd across them,
+    its Gram content in C-level passes over whole columns.  The first
+    failing root, by index, raises what `_root_image` or the integrality
+    test would raise on it; only then is v checked.  A step pairs every
+    root with G cur the same way, sum_c (G cur)[c] * col_c, and
+    `_reflected`, the step of `reflect`, moves cur by the pivot.
+    max_steps must be a nonnegative integer.
 
     Termination: let every root pair positively with an ample class a and
     reflect integrally, as enumerated classes do, and let v lie on a's
@@ -95,10 +111,18 @@ def weyl_reduce(
     if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
         raise PreconditionError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
     rs = [L.check_vector(r) for r in roots]
-    for i, r in enumerate(rs):
-        gr, q = _root_image(L, r)
-        if 2 * gcd(*gr) % q:
-            raise PreconditionError("root %d does not define an integral reflection" % i)
+    cols = list(zip(*rs))
+    gcols = [_column_sum(row, cols, len(rs)) for row in L.gram]
+    norms = [0] * len(rs)
+    for col, gcol in zip(cols, gcols):
+        norms = list(map(add, norms, map(mul, col, gcol)))
+    gcds = list(map(gcd, *gcols))
+    if rs and (max(norms) >= 0 or any(map(mod, map(mul, repeat(2), gcds), norms))):
+        for i, (q, g) in enumerate(zip(norms, gcds)):
+            if q >= 0:
+                _root_image(L, rs[i])  # raises the isotropic or positive-norm error
+            if 2 * g % q:
+                raise PreconditionError("root %d does not define an integral reflection" % i)
     cur = L.check_vector(v)
     if norm(L, cur) < 0:
         raise PreconditionError(
@@ -107,8 +131,7 @@ def weyl_reduce(
         )
     word: list[Vec] = []
     while True:
-        gcur = mat_vec(L.gram, cur)
-        pairings = [sum(map(mul, r, gcur)) for r in rs]
+        pairings = _column_sum(mat_vec(L.gram, cur), cols, len(rs))
         worst_val = min(pairings, default=0)
         if worst_val >= 0:
             return ChamberReduction(cur, tuple(word), len(word))
@@ -117,8 +140,9 @@ def weyl_reduce(
                 "chamber reduction did not terminate within %d steps" % max_steps
             )
         # list.index takes the lowest index among ties
-        r = rs[pairings.index(worst_val)]
-        cur = _reflected(cur, r, 2 * worst_val, norm(L, r))
+        i = pairings.index(worst_val)
+        r = rs[i]
+        cur = _reflected(cur, r, 2 * worst_val, norms[i])
         word.append(r)
 
 

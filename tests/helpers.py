@@ -8,13 +8,18 @@ in `Fraction`s, the CLI's argparse parser). Two exceptions call the
 library: the Eff/Mov duality round trip runs its double description
 twice, as an oracle for the duality that `engine.analyze` proves, and
 `_shell_points` is the engine's elimination followed by its walk, the
-unscaled lister the frame tests compare against.
+unscaled lister the frame tests compare against. Two more are the code
+that a faster form replaced, kept as its reference: `reference_render_json`,
+the report renderer by `json.dumps`, and `per_root_weyl_reduce`, chamber
+reduction with one Python step per root.
 """
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -23,11 +28,11 @@ from math import gcd, isqrt, lcm
 from ihscone import Lattice, is_numerically_exceptional, norm, profiles
 from ihscone.catalog import parse_type
 from ihscone.engine import Rank2Report, RayDescriptor, _eliminate, _shell_frame, _walk
-from ihscone.errors import MixedRationalityError, PreconditionError
-from ihscone.lattice import det_int, divisibility, gram_vec, is_primitive, pairing
+from ihscone.errors import BoundExceededError, MixedRationalityError, PreconditionError
+from ihscone.lattice import det_int, divisibility, gram_vec, is_primitive, mat_vec, pairing
 from ihscone.pell import is_perfect_square
 from ihscone.polyhedra import canonical_ray, dd_generators, fm_satisfiable
-from ihscone.weyl import reflect
+from ihscone.weyl import ChamberReduction, _reflected, _root_image, reflect
 
 
 def rand_unimodular(rng: random.Random, n: int, ops: int | None = None) -> list[list[int]]:
@@ -373,6 +378,40 @@ def reference_weyl_reduce(lat: Lattice, roots, v):
         word.append(tuple(roots[worst]))
 
 
+def per_root_weyl_reduce(lat: Lattice, roots, v, max_steps: int = 10000):
+    """`weyl.weyl_reduce` as it was with one Python step per root: each
+    root's check, then each step's pairing, root by root. The reference
+    for its errors, their order, the pivot, the word and the representative.
+    """
+    if isinstance(max_steps, bool) or not isinstance(max_steps, int) or max_steps < 0:
+        raise PreconditionError(f"max_steps must be a nonnegative integer, got {max_steps!r}")
+    rs = [lat.check_vector(r) for r in roots]
+    for i, r in enumerate(rs):
+        gr, q = _root_image(lat, r)
+        if 2 * gcd(*gr) % q:
+            raise PreconditionError("root %d does not define an integral reflection" % i)
+    cur = lat.check_vector(v)
+    if norm(lat, cur) < 0:
+        raise PreconditionError(
+            "vector to reduce must lie in the closed positive cone, norm is %d"
+            % norm(lat, cur)
+        )
+    word = []
+    while True:
+        gcur = mat_vec(lat.gram, cur)
+        pairings = [sum(a * b for a, b in zip(r, gcur)) for r in rs]
+        worst_val = min(pairings, default=0)
+        if worst_val >= 0:
+            return ChamberReduction(cur, tuple(word), len(word))
+        if len(word) >= max_steps:
+            raise BoundExceededError(
+                "chamber reduction did not terminate within %d steps" % max_steps
+            )
+        r = rs[pairings.index(worst_val)]
+        cur = _reflected(cur, r, 2 * worst_val, norm(lat, r))
+        word.append(r)
+
+
 def near_boundary_vector(rng: random.Random, diag, span: int):
     """A vector of small nonnegative norm on diag(diag) whose tail
     coordinates lie in [-span, span], so that chamber reduction takes steps."""
@@ -706,3 +745,36 @@ def reference_parser() -> argparse.ArgumentParser:
         if name == "reduce":
             sp.add_argument("--max-steps", type=int, default=10000)
     return parser
+
+
+# ------------------------------------------------------------ report text
+
+def _reference_stringify(obj):
+    """Integers to decimal strings, recursively, in insertion order;
+    booleans stay booleans; an integer over the digit limit raises the
+    CLI's BoundExceededError."""
+    if isinstance(obj, bool):
+        return obj
+    if isinstance(obj, int):
+        try:
+            return str(obj)
+        except ValueError as exc:
+            raise BoundExceededError(
+                f"a {obj.bit_length()}-bit integer in the report has more than the "
+                f"interpreter's limit of {sys.get_int_max_str_digits()} decimal digits; "
+                "set PYTHONINTMAXSTRDIGITS to raise the limit (0 removes it)"
+            ) from exc
+    if isinstance(obj, (list, tuple)):
+        return [_reference_stringify(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _reference_stringify(v) for k, v in obj.items()}
+    return obj
+
+
+def reference_render_json(report, fmt: str) -> str:
+    """A report's text as the CLI wrote it before its one writer: integers
+    stringified, then `json.dumps` with sorted keys, compact or indented."""
+    payload = _reference_stringify(report)
+    if fmt == "pretty":
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -20,7 +20,7 @@ import ihscone
 from ihscone import alphas, cli, engine, lattice, pell
 from ihscone.catalog import parse_type
 from ihscone.cli import (
-    InputSpec, _stringify, main, parse_input, run_analyze, run_pell, run_reduce,
+    InputSpec, _render_json, main, parse_input, run_analyze, run_pell, run_reduce,
 )
 from ihscone.engine import EnumerationBound, enumerate_exceptional
 from ihscone.errors import (
@@ -36,6 +36,7 @@ from ihscone.weyl import weyl_reduce
 from tests.helpers import (
     near_boundary_vector,
     reference_parser,
+    reference_render_json,
     reference_weyl_reduce,
     signature_corpus,
 )
@@ -661,14 +662,84 @@ def test_digit_limit_prints_no_traceback(tmp_path):
 
 @needs_digit_limit
 def test_stringify_digit_limit_in_nested_list():
-    # plain ints in a list skip the recursive call; one over the limit
+    # integer lists and rows skip the per-element path; one over the limit
     # deep inside a list must still end in BoundExceededError
     big = 10 ** 4310
     report = {"a": [[1, True], (2, [-3, None])]}
-    assert _stringify(report) == {"a": [["1", True], ["2", ["-3", None]]]}
+    assert json.loads(_render_json(report, "json")) == {"a": [["1", True], ["2", ["-3", None]]]}
     with pytest.raises(BoundExceededError, match=f"{big.bit_length()}-bit") as info:
-        _stringify({"a": [[1, 2], [3, [4, big]]]})
+        _render_json({"a": [[1, 2], [3, [4, big]]]}, "json")
     assert str(_DIGIT_LIMIT) in str(info.value)
+
+
+# keys and labels: non-ASCII, control characters, a lone surrogate, a
+# character outside the BMP, and ASCII that sorts between them
+_TEXTS = ("a", "B", "key", "", "\x00", "\n\t\"\\", "\x7f", "é", "ü-Ω", "\u2028", "\ud800",
+          "\U0001f600", "a b", "zz")
+
+
+def _random_report(rng, depth, big):
+    """A random report tree: dicts of random keys over ints, bools, None,
+    labels, integer lists and rows (equal-length, ragged, empty, with a bool
+    or the over-limit `big` among them), tuples and nested trees."""
+    def integer():
+        return rng.choice((0, 1, -1, rng.randint(-10 ** 6, 10 ** 6), 10 ** 60, -(10 ** 80)))
+
+    def row(width):
+        r = [integer() for _ in range(width)]
+        if r and rng.random() < 0.1:
+            r[rng.randrange(width)] = rng.choice((True, False, None, big))
+        return tuple(r) if rng.random() < 0.3 else r
+
+    def value(d):
+        kind = rng.randrange(9 if d else 6)
+        if kind == 0:
+            return integer()
+        if kind == 1:
+            return rng.choice((True, False, None))
+        if kind == 2:
+            return rng.choice(_TEXTS)
+        if kind == 3:
+            return row(rng.randint(0, 6))
+        if kind in (4, 5):
+            width, count = rng.randint(0, 4), rng.randint(0, 5)
+            rows = [row(width if kind == 4 else rng.randint(0, 4)) for _ in range(count)]
+            return tuple(rows) if rng.random() < 0.2 else rows
+        if kind == 6:
+            return [value(d - 1) for _ in range(rng.randint(0, 3))]
+        return {rng.choice(_TEXTS): value(d - 1) for _ in range(rng.randint(0, 4))}
+
+    return {rng.choice(_TEXTS): value(depth) for _ in range(rng.randint(1, 6))}
+
+
+def test_report_writer_matches_json_dumps():
+    # the one writer against stringify-then-json.dumps, on random trees, in
+    # both formats: the same bytes, or the same digit-limit error
+    rng = random.Random(2929)
+    big = 10 ** max(_DIGIT_LIMIT, 4300)  # one digit past the limit
+    written = raised = 0
+    for _ in range(600):
+        report = _random_report(rng, 3, big)
+        for fmt in ("json", "pretty"):
+            try:
+                expected = reference_render_json(report, fmt)
+            except BoundExceededError as exc:
+                with pytest.raises(BoundExceededError) as info:
+                    _render_json(report, fmt)
+                assert str(info.value) == str(exc)
+                raised += 1
+            else:
+                assert _render_json(report, fmt) == expected
+                written += 1
+    assert written >= 600 and (raised >= 50 or not 0 < _DIGIT_LIMIT <= 4300)
+
+
+def test_report_writer_refuses_what_json_cannot_carry():
+    # no report carries a float (the exactness rule); keys are strings
+    for report in ({"a": 1.5}, {"a": [1, 2.0]}, {"a": [[1, 2], [3, 4.0]]}, {"a": {1, 2}},
+                   {1: 2}, {"a": object()}):
+        with pytest.raises(TypeError):
+            _render_json(report, "json")
 
 
 _OVER_LIMIT = "1" + "0" * 4999

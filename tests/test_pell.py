@@ -212,3 +212,20 @@ def test_pell_functions_take_integers_only():
             solution_with_residue(f, modulus, residue, index_cap=cap)
     with pytest.raises(PreconditionError):
         solution_with_residue((2, 1, 3), 5, 2)
+
+
+def test_pell_helpers_take_their_own_types_only():
+    # a float or bool square test, and a bare tuple in place of a solution,
+    # are refused as the other Pell functions refuse them, not answered or
+    # left to fail as TypeError or AttributeError
+    for n in (2.0, 4.0, True, False, "4", None):
+        with pytest.raises(PreconditionError, match="nonnegative integer"):
+            is_perfect_square(n)
+    f = fundamental_solution(3)
+    for s, fund in (((2, 1, 3), f), (f, (2, 1, 3)), ((3, 2, 2), (3, 2, 2))):
+        with pytest.raises(PreconditionError, match="PellSolution"):
+            next_solution(s, fund)
+    for fund in ((3, 2, 2), [2, 1, 3], None):
+        with pytest.raises(PreconditionError, match="PellSolution"):
+            second_solution(fund)
+    assert next_solution(f, f) == second_solution(f)

@@ -7,6 +7,8 @@ from ihscone.catalog import parse_type, profiles
 from ihscone.engine import EnumerationBound, enumerate_exceptional
 from ihscone.errors import (
     BoundExceededError,
+    DimensionMismatchError,
+    IHSConeError,
     NonIntegralReflectionError,
     PreconditionError,
 )
@@ -21,6 +23,7 @@ from ihscone.weyl import (
 from tests.helpers import (
     fm_is_wall,
     near_boundary_vector,
+    per_root_weyl_reduce,
     rand_diag_gram,
     rand_primitive,
     rand_profile_root,
@@ -240,6 +243,82 @@ def test_weyl_reduce_rejects_non_integral_root():
         weyl_reduce(Lattice(((2, 1), (1, 0))), ((0, 1),), (1, 0))
     with pytest.raises(PreconditionError, match="negative norm"):
         weyl_reduce(DIAG, ((0, 1), (1, 0)), (1, 0))
+
+
+def test_weyl_reduce_error_order():
+    # roots are checked by index, each for norm then integrality, after every
+    # root's length and before v; SKEW has (1, 0) of norm -4 with Gram
+    # content 1 (not integral), (1, 1) isotropic and (0, 1) of norm 2
+    skew = Lattice(((-4, 1), (1, 2)))
+    nonintegral, isotropic, positive = (1, 0), (1, 1), (0, 1)
+    with pytest.raises(PreconditionError, match="^root 0 does not define an integral"):
+        weyl_reduce(skew, (nonintegral, isotropic), (0, 1))
+    with pytest.raises(PreconditionError, match="isotropic"):
+        weyl_reduce(skew, (isotropic, nonintegral), (0, 1))
+    with pytest.raises(PreconditionError, match="negative norm, got 2$"):
+        weyl_reduce(skew, (positive, nonintegral), (0, 1))
+    # the index named is the failing root's: (0, 1, 1) has norm -6 and
+    # Gram content 2 on diag(2, -2, -4), after the integral (0, 1, 0)
+    with pytest.raises(PreconditionError, match="^root 1 does not define an integral"):
+        weyl_reduce(Lattice(((2, 0, 0), (0, -2, 0), (0, 0, -4))),
+                    ((0, 1, 0), (0, 1, 1)), (1, 0, 0))
+    # a bad root before a bad v: of negative norm, or of the wrong length
+    for v in ((1, 0), (0, 1, 0)):
+        with pytest.raises(PreconditionError, match="integral reflection"):
+            weyl_reduce(skew, (nonintegral,), v)
+    # a root of the wrong length before any other root's norm or integrality
+    with pytest.raises(DimensionMismatchError):
+        weyl_reduce(skew, (isotropic, nonintegral, (1, 0, 0)), (0, 1))
+    with pytest.raises(DimensionMismatchError):
+        weyl_reduce(skew, (), (0, 1, 0))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except IHSConeError as exc:
+        return type(exc), str(exc)
+
+
+def test_weyl_reduce_matches_the_per_root_loop():
+    # the columnar check and pairings against the loop with one Python step
+    # per root: the same first error, or the same pivots, so the same word
+    # and representative.  The roots are integral ones of a diagonal form
+    # (basis vectors and e_i +- e_j of equal square), sometimes with a
+    # random vector among them, all in a random basis
+    rng = random.Random(2929)
+    reduced = failed = steps = 0
+    for _ in range(300):
+        rank = rng.randint(2, 6)
+        diag = [2 * rng.randint(1, 3)] + [-rng.choice((1, 2)) for _ in range(rank - 1)]
+        base = Lattice(tuple(
+            tuple(diag[i] if i == j else 0 for j in range(rank)) for i in range(rank)
+        ))
+        unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+        pool = [u for u in unit[1:]] + [
+            tuple(a + s * b for a, b in zip(unit[i], unit[j]))
+            for i in range(1, rank) for j in range(i + 1, rank) if diag[i] == diag[j]
+            for s in (1, -1)
+        ]
+        roots = [tuple(rng.choice((1, -1)) * x for x in r)
+                 for r in rng.sample(pool, rng.randint(0, min(len(pool), 10)))]
+        if rng.random() < 0.4:
+            junk = tuple(rng.randint(-2, 2) for _ in range(rank))
+            roots.insert(rng.randint(0, len(roots)), junk)
+        if rng.random() < 0.8:
+            v = near_boundary_vector(rng, diag, 4)
+        else:
+            v = tuple(rng.randint(-3, 3) for _ in range(rank))
+        lat, moved = transported(rng, base, [v] + roots)
+        v, roots = moved[0], moved[1:]
+        got = _outcome(weyl_reduce, lat, roots, v, max_steps=30)
+        assert got == _outcome(per_root_weyl_reduce, lat, roots, v, max_steps=30)
+        if isinstance(got, tuple) and isinstance(got[0], type):
+            failed += 1
+        else:
+            reduced += 1
+            steps += got.steps
+    assert reduced >= 100 and failed >= 100 and steps >= 100
 
 
 def test_weyl_reduce_step_cap():
