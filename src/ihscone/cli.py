@@ -434,9 +434,11 @@ def _write(obj: Any, out: list[str]) -> None:
     equal-length rows of exact ints with one `%` on `_rows_template`; the
     type tests are exact, so a bool never takes either. An integer over the
     interpreter's digit limit makes str and %d raise ValueError; the list
-    is then written element by element, which raises BoundExceededError
-    naming the first such integer in key order. Any other type, floats
-    included, raises TypeError as json.dumps does.
+    is then written element by element, which raises BoundExceededError.
+    Dict values are written in insertion order and their keys then sorted,
+    so the integer named is the first in insertion order, whichever key
+    sorts first. Any other type, floats included, raises TypeError as
+    json.dumps does.
     """
     if isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))
@@ -458,12 +460,16 @@ def _write(obj: Any, out: list[str]) -> None:
             _write(x, out)
         out.append("]")
     elif isinstance(obj, dict):
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
+        texts = {}
+        for key, value in obj.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
+            texts[key] = text = []
+            _write(value, text)
+        out.append("{")
+        for i, key in enumerate(sorted(texts)):
             out.append(("," if i else "") + encode_basestring_ascii(key) + ":")
-            _write(obj[key], out)
+            out.extend(texts[key])
         out.append("}")
     elif isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))

@@ -678,17 +678,18 @@ _TEXTS = ("a", "B", "key", "", "\x00", "\n\t\"\\", "\x7f", "é", "ü-Ω", "\u202
           "\U0001f600", "a b", "zz")
 
 
-def _random_report(rng, depth, big):
+def _random_report(rng, depth, bigs):
     """A random report tree: dicts of random keys over ints, bools, None,
     labels, integer lists and rows (equal-length, ragged, empty, with a bool
-    or the over-limit `big` among them), tuples and nested trees."""
+    or an over-limit integer from `bigs` among them), tuples and nested
+    trees."""
     def integer():
         return rng.choice((0, 1, -1, rng.randint(-10 ** 6, 10 ** 6), 10 ** 60, -(10 ** 80)))
 
     def row(width):
         r = [integer() for _ in range(width)]
         if r and rng.random() < 0.1:
-            r[rng.randrange(width)] = rng.choice((True, False, None, big))
+            r[rng.randrange(width)] = rng.choice((True, False, None) + bigs)
         return tuple(r) if rng.random() < 0.3 else r
 
     def value(d):
@@ -714,12 +715,14 @@ def _random_report(rng, depth, big):
 
 def test_report_writer_matches_json_dumps():
     # the one writer against stringify-then-json.dumps, on random trees, in
-    # both formats: the same bytes, or the same digit-limit error
+    # both formats: the same bytes, or the same digit-limit error, which
+    # names the bit length of the first over-limit integer in insertion order
     rng = random.Random(2929)
-    big = 10 ** max(_DIGIT_LIMIT, 4300)  # one digit past the limit
+    limit = max(_DIGIT_LIMIT, 4300)
+    bigs = (10 ** limit, -(10 ** (limit + 30)))  # one and 31 digits past the limit
     written = raised = 0
     for _ in range(600):
-        report = _random_report(rng, 3, big)
+        report = _random_report(rng, 3, bigs)
         for fmt in ("json", "pretty"):
             try:
                 expected = reference_render_json(report, fmt)
