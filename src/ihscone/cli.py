@@ -613,8 +613,11 @@ def _report_text(args: argparse.Namespace, text: str) -> str:
 def main(argv: Optional[list[str]] = None) -> int:
     args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        # one unbuffered read decoded as strict UTF-8; text mode's newline
+        # translation is not needed, since JSON allows a raw CR only as
+        # whitespace between tokens, where it loads to the same value
+        with open(args.input, "rb", buffering=0) as fh:
+            text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return 2

@@ -1,14 +1,16 @@
 """Pell equations x^2 - N*y^2 = 1 over positive integers, exactly.
 
-The fundamental solution comes from one period of the continued fraction
-of sqrt(N) = [a0; a1, ..., aP], whose last partial quotient aP = 2*a0 ends
-the period.  The convergent p/q just before that quotient satisfies
-p^2 - N*q^2 = (-1)^P, so it is the fundamental solution when P is even
-and squares to it, (p^2 + N*q^2, 2*p*q), when P is odd.  Each step adds a
-small multiple of a convergent, so a solve costs O(P*D) for a solution
-of D digits; no step squares the growing convergents.  Every further
-solution follows from the multiplication rule on the group of units, and
-PellSolution re-checks the equation on every solution it holds.
+The fundamental solution comes from half a period of the continued
+fraction of sqrt(N) = [a0; a1, ..., aP], whose last partial quotient
+aP = 2*a0 ends the period.  The quotients a1, ..., a(P-1) read the same
+backwards (Jacobson & Williams 2009, "Solving the Pell Equation"), so the
+walk stops at the centre of the period and builds the convergent at its
+end from the convergents there, with a few products of half-length
+numbers.  That convergent p/q satisfies p^2 - N*q^2 = (-1)^P, so it is
+the fundamental solution when P is even and squares to it,
+(p^2 + N*q^2, 2*p*q), when P is odd.  Every further solution follows
+from the multiplication rule on the group of units, and PellSolution
+re-checks the equation on every solution it holds.
 """
 
 from __future__ import annotations
@@ -62,37 +64,56 @@ def fundamental_solution(n: int) -> PellSolution:
     """Smallest positive-integer solution of x^2 - n*y^2 = 1.
 
     Runs the recurrences m' = d*a - m, d' = (n - m'^2)/d, a' = (a0 + m')//d'
-    of the continued fraction of sqrt(n), and the convergents p/q with
-    them, until a = 2*a0 closes the first period, of length P.  The last
-    convergent before it, p_{P-1}/q_{P-1}, has p^2 - n*q^2 = (-1)^P
-    (Lenstra 2002, "Solving the Pell equation").  For even P it is the
-    fundamental solution; for odd P it solves the negative equation and
-    its square (p^2 + n*q^2, 2*p*q) is the fundamental solution.
+    of the continued fraction of sqrt(n), and the convergents p_i/q_i with
+    them (p_{-1} = 1, q_{-1} = 0, p_{-2} = 0, q_{-2} = 1), up to the centre
+    of the first period, of length P.  The period's quotients
+    a1, ..., a(P-1) are a palindrome (Jacobson & Williams 2009, "Solving
+    the Pell Equation"), and so are the m and d along it, which marks the
+    centre: m_k = m_{k+1} means P = 2k, and d_k = d_{k+1} means P = 2k + 1.
 
-    Because the period rule says where the solution is, no convergent is
-    tested against the equation along the way: each step only multiplies
-    a convergent by a quotient a < 2*sqrt(n), O(D) for D-digit
-    convergents, where a per-step test would square them.  PellSolution
-    verifies the returned pair exactly.
+    With A_i = [[a_i, 1], [1, 0]], the matrix M = A_0*A_1*...*A_(P-1) is
+    [[p_{P-1}, p_{P-2}], [q_{P-1}, q_{P-2}]].  Each A_i is symmetric, so
+    the palindrome gives M = A_0*S with S = B*A_k*B^T, B = A_1*...*A_(k-1),
+    for an even period and S = B*B^T, B = A_1*...*A_k, for an odd one.
+    For B = A_1*...*A_j, A_0*B = [[p_j, p_{j-1}], [q_j, q_{j-1}]] and B's
+    first row is (q_j, q_{j-1}), so the first column of M is:
+
+      even P = 2k:     x = p_{k-1}*q_k + p_{k-2}*q_{k-1},
+                       y = q_{k-1}*(q_k + q_{k-2}),
+      odd P = 2k + 1:  x = p_k*q_k + p_{k-1}*q_{k-1},
+                       y = q_k^2 + q_{k-1}^2.
+
+    This is the last convergent before a_P = 2*a0, p_{P-1}/q_{P-1}, with
+    p^2 - n*q^2 = (-1)^P (Lenstra 2002, "Solving the Pell equation").  For
+    even P it is the fundamental solution; for odd P it solves the
+    negative equation and its square (p^2 + n*q^2, 2*p*q) is the
+    fundamental solution.
+
+    The walk takes about P/2 steps, half of a full-period walk, and each
+    step only multiplies a convergent by a quotient a < 2*sqrt(n), O(D)
+    for D-digit convergents; the closing products are of half-length
+    numbers.  No convergent is tested against the equation along the way.
+    PellSolution verifies the returned pair exactly.
     """
     _check_param(n)
     a0 = math.isqrt(n)
     m, d, a = 0, 1, a0
-    h_prev, h = 1, a0
-    k_prev, k = 0, 1
-    period = 0
+    p1, p2 = 1, 0  # p_{k-1}, p_{k-2} at step k
+    q1, q2 = 0, 1  # q_{k-1}, q_{k-2}
     while True:
-        m = d * a - m
-        d = (n - m * m) // d
+        m_next = d * a - m
+        if m_next == m:  # even period 2k
+            q = a * q1 + q2
+            return PellSolution(p1 * q + p2 * q1, q1 * (q + q2), n)
+        p, q = a * p1 + p2, a * q1 + q2
+        d_next = (n - m_next * m_next) // d
+        if d_next == d:  # odd period 2k + 1: x^2 - n*y^2 = -1
+            x, y = p * q + p1 * q1, q * q + q1 * q1
+            return PellSolution(x * x + n * y * y, 2 * x * y, n)
+        m, d = m_next, d_next
         a = (a0 + m) // d
-        period += 1
-        if a == 2 * a0:
-            break
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-    if period % 2:
-        h, k = h * h + n * k * k, 2 * h * k
-    return PellSolution(h, k, n)
+        p1, p2 = p, p1
+        q1, q2 = q, q1
 
 
 def next_solution(s: PellSolution, fund: PellSolution) -> PellSolution:

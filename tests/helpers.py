@@ -8,10 +8,11 @@ in `Fraction`s, the CLI's argparse parser). Two exceptions call the
 library: the Eff/Mov duality round trip runs its double description
 twice, as an oracle for the duality that `engine.analyze` proves, and
 `_shell_points` is the engine's elimination followed by its walk, the
-unscaled lister the frame tests compare against. Two more are the code
+unscaled lister the frame tests compare against. Three more are the code
 that a faster form replaced, kept as its reference: `reference_render_json`,
-the report renderer by `json.dumps`, and `per_root_weyl_reduce`, chamber
-reduction with one Python step per root.
+the report renderer by `json.dumps`, `per_root_weyl_reduce`, chamber
+reduction with one Python step per root, and `full_period_pell`, the Pell
+solver that walks the whole continued-fraction period.
 """
 from __future__ import annotations
 
@@ -125,6 +126,45 @@ def brute_force_pell_x(n: int, x_cap: int):
             if y * y == q:
                 return (x, y)
     return None
+
+
+def full_period_pell(n: int) -> tuple[int, int]:
+    """Fundamental solution of x^2 - n*y^2 = 1 from one whole period.
+
+    Walks the continued fraction of sqrt(n) until a = 2*a0 closes the
+    period, of length P; the last convergent before it has
+    p^2 - n*q^2 = (-1)^P, and is squared when P is odd.
+    """
+    a0 = isqrt(n)
+    m, d, a = 0, 1, a0
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    period = 0
+    while True:
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        period += 1
+        if a == 2 * a0:
+            break
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    if period % 2:
+        h, k = h * h + n * k * k, 2 * h * k
+    return h, k
+
+
+def cf_period(n: int) -> int:
+    """Length of the continued-fraction period of sqrt(n)."""
+    a0 = isqrt(n)
+    m, d, a = 0, 1, a0
+    period = 0
+    while a != 2 * a0:
+        m = d * a - m
+        d = (n - m * m) // d
+        a = (a0 + m) // d
+        period += 1
+    return period
 
 
 def chakravala(n: int) -> tuple[int, int]:

@@ -520,6 +520,47 @@ def test_exit_2_on_bad_document(tmp_path, capsys):
     assert _error_doc(err)["kind"] == "InputFormatError"
 
 
+@pytest.mark.parametrize("subcommand, doc", [
+    ("pell", {"n": 7, "modulus": 5, "residue": 2, "label": "crlf"}),
+    ("analyze", RANK3_DOC),
+], ids=["pell", "analyze"])
+def test_crlf_document_gives_the_same_report(tmp_path, capsys, subcommand, doc):
+    # the input is read as bytes with no newline translation; a CR is
+    # JSON whitespace between tokens, so the report does not change
+    lf = json.dumps(doc, indent=2) + "\n"
+    assert "\n" in lf.strip()
+    reports = []
+    for name, text in (("lf.json", lf), ("crlf.json", lf.replace("\n", "\r\n"))):
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = _run(capsys, [subcommand, "--input", str(path)])
+        assert code == 0 and err == ""
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def test_utf8_bom_is_malformed_json(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"n": 5}).encode("utf-8"))
+    code, out, err = _run(capsys, ["pell", "--input", str(path)])
+    assert code == 2 and out == ""
+    e = _error_doc(err)
+    assert e["kind"] == "InputFormatError" and e["message"].startswith("malformed JSON: ")
+
+
+def test_malformed_crlf_document_counts_each_cr(tmp_path, capsys):
+    # lines and columns are as before; the character offset counts the
+    # CR of each CRLF, since no newline translation happens on reading
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"n": 7,\r\n "modulus": }\r\n')
+    code, out, err = _run(capsys, ["pell", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert _error_doc(err) == {
+        "kind": "InputFormatError",
+        "message": "malformed JSON: Expecting value: line 2 column 13 (char 22)",
+    }
+
+
 def test_exit_2_on_decimal_string_with_trailing_newline(tmp_path, capsys):
     # a regex "$" also matches before a final newline; the whole string
     # must be digits

@@ -23,7 +23,9 @@ from ihscone.pell import (
 from tests.helpers import (
     brute_force_pell_x,
     brute_force_pell_y,
+    cf_period,
     chakravala,
+    full_period_pell,
     nonsquares_up_to,
 )
 
@@ -95,7 +97,8 @@ def test_fundamental_matches_cyclic_method():
 
 
 def test_fundamental_matches_cyclic_method_large():
-    # three long periods (fundamental x of 1034-3873 digits) and ten random N
+    # three long even periods (fundamental x of 1034-3873 digits) and ten
+    # random N
     rng = random.Random(7)
     params = [999331, 4000189, 6615019]
     while len(params) < 13:
@@ -105,6 +108,36 @@ def test_fundamental_matches_cyclic_method_large():
     for n in params:
         s = fundamental_solution(n)
         assert chakravala(n) == (s.x, s.y)
+
+
+def test_half_period_walk_matches_full_period_walk():
+    # the walk stops at the centre of the period; the full-period walk it
+    # replaced is the oracle, on every small N and on 20 seeded large ones
+    for n in nonsquares_up_to(4999):
+        assert full_period_pell(n) == fundamental_solution(n)[:2], n
+    rng = random.Random(30)
+    params = []
+    while len(params) < 20:
+        n = rng.randrange(10 ** 5, 10 ** 7)
+        if is_perfect_square(n) is None:
+            params.append(n)
+    for n in params:
+        assert full_period_pell(n) == fundamental_solution(n)[:2], n
+
+
+@pytest.mark.parametrize("n, period", [
+    (2, 1), (5, 1), (1000001, 1),
+    (3, 2), (99, 2),
+    (1000861, 2409), (5000389, 5127),
+    (999331, 2006), (6615019, 4230),
+], ids=lambda v: str(v))
+def test_half_period_walk_at_named_periods(n, period):
+    # periods 1 and 2 put the centre at the first steps; the long odd
+    # periods take the branch that squares a solution of the negative
+    # equation, which the random large cases above may not reach
+    assert cf_period(n) == period
+    s = fundamental_solution(n)
+    assert (s.x, s.y) == full_period_pell(n) == chakravala(n)
 
 
 def test_solution_invariant_enforced():
